@@ -42,6 +42,10 @@ EXIT_USAGE = 64
 
 CSV_HEADER = "seed,N,total_copies,success_ratio,analytic_prob,abs_error"
 
+# RngStream keeps the low 64 bits of a seed, so a larger one would silently
+# alias a smaller one
+_MAX_SEED = (1 << 64) - 1
+
 
 class ConfigError(Exception):
     """A file or config that cannot be understood; maps to exit code 3."""
@@ -86,7 +90,7 @@ def _decode_matrix(blob, what):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _merged_int(flag_value, cfg, key, minimum):
+def _merged_int(flag_value, cfg, key, minimum, maximum=None):
     """Flag wins over config; the value must be present in one of them."""
     value = flag_value if flag_value is not None else cfg.get(key)
     if value is None:
@@ -97,6 +101,8 @@ def _merged_int(flag_value, cfg, key, minimum):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}") from None
     if value < minimum:
         raise ConfigError(f"'{key}' must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"'{key}' must be <= {maximum}, got {value}")
     return value
 
 
@@ -175,7 +181,7 @@ def _cmd_simulate(args) -> int:
     cfg = _read_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    seed = _merged_int(args.seed, cfg, "seed", minimum=0)
+    seed = _merged_int(args.seed, cfg, "seed", minimum=0, maximum=_MAX_SEED)
     shots = _merged_int(args.shots, cfg, "shots", minimum=1)
     rng = RngStream(seed=seed)
 
@@ -206,7 +212,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError("config must be a JSON object")
     if "metric" not in cfg or "prover" not in cfg:
         raise ConfigError("verify config needs 'metric' and 'prover'")
-    seed = _merged_int(args.seed, cfg, "seed", minimum=0)
+    seed = _merged_int(args.seed, cfg, "seed", minimum=0, maximum=_MAX_SEED)
     exact = bool(cfg.get("exact", False))
     if exact and args.shots is None and "shots" not in cfg:
         shots = 0

@@ -340,39 +340,88 @@ def one_to_one_norm(superop) -> float:
     return float(max(values.max(), floor))
 
 
-def _herm3_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a batch of Hermitian 3x3 matrices, closed form.
+def _herm_coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian d x d matrices, shape (..., d*d).
 
-    The trigonometric form of the cubic characteristic equation; adequate
-    for bulk sampling where a relative 1e-12 suffices and LAPACK call
-    overhead dominates.
+    The diagonal, then the real parts and then the imaginary parts of the
+    upper triangle in row-major order.
     """
-    tr = np.einsum("kii->k", a).real
-    q = tr / 3.0
-    d00 = a[:, 0, 0].real - q
-    d11 = a[:, 1, 1].real - q
-    d22 = a[:, 2, 2].real - q
-    off = (
-        np.abs(a[:, 0, 1]) ** 2 + np.abs(a[:, 0, 2]) ** 2 + np.abs(a[:, 1, 2]) ** 2
-    )
-    p2 = d00**2 + d11**2 + d22**2 + 2.0 * off
-    p = np.sqrt(p2 / 6.0)
-    safe = p > 1e-300
-    ps = np.where(safe, p, 1.0)
+    d = a.shape[-1]
+    j, k = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    return np.concatenate([a[..., diag, diag].real, a[..., j, k].real, a[..., j, k].imag], axis=-1)
 
-    b = (a - q[:, None, None] * np.eye(3)) / ps[:, None, None]
+
+def _herm_from_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of _herm_coords: (..., d*d) real coordinates to matrices."""
+    j, k = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    upper = x[..., d : d + len(j)] + 1j * x[..., d + len(j) :]
+    a = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    a[..., diag, diag] = x[..., :d]
+    a[..., j, k] = upper
+    a[..., k, j] = upper.conj()
+    return a
+
+
+def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| of Hermitian 3x3 matrices given as (9, n) coordinates.
+
+    Trigonometric solution of the characteristic cubic of the traceless
+    part B = A - qI (Smith, CACM 4(4) 1961; Kopp, arXiv:physics/0610206),
+    with B's eigenvalues q-shifted to 2p cos(phi + 2 pi k / 3). The angle
+    is taken as atan2(sin 3phi, cos 3phi) rather than arccos(cos 3phi):
+    near a double eigenvalue arccos loses half the digits, which for a
+    pair straddling zero (rank-1 inputs) is an error of about 1e-8 in the
+    trace norm. sin 3phi comes from C = B^2 - (tr B^2 / 3) I - (3 det B /
+    tr B^2) B, the part of B^2 orthogonal to I and B, formed entry by entry:
+    ||C||_F |B|_F / 3 = 2p^3 sin 3phi, with no cancellation near degeneracy.
+    The sum is the best of the four monotone sign patterns of the sorted
+    eigenvalues, so only the largest and the smallest are formed.
+    """
+    d0, d1, d2, r01, r02, r12, i01, i02, i12 = x
+    q = (d0 + d1 + d2) / 3.0
+    a0 = d0 - q
+    a1 = d1 - q
+    a2 = d2 - q
+    n01 = r01 * r01 + i01 * i01
+    n02 = r02 * r02 + i02 * i02
+    n12 = r12 * r12 + i12 * i12
+    # diagonal of B^2 and its trace, 6 p^2
+    s00 = a0 * a0 + n01 + n02
+    s11 = a1 * a1 + n01 + n12
+    s22 = a2 * a2 + n02 + n12
+    s2 = s00 + s11 + s22
     det = (
-        b[:, 0, 0] * (b[:, 1, 1] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 1])
-        - b[:, 0, 1] * (b[:, 1, 0] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 0])
-        + b[:, 0, 2] * (b[:, 1, 0] * b[:, 2, 1] - b[:, 1, 1] * b[:, 2, 0])
-    ).real
-    phi = np.arccos(np.clip(det / 2.0, -1.0, 1.0)) / 3.0
-
-    e1 = q + 2.0 * p * np.cos(phi)
-    e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    out = np.stack([e1, e2, e3], axis=1)
-    return np.where(safe[:, None], out, q[:, None] * np.ones((1, 3)))
+        a0 * a1 * a2
+        + 2.0 * ((r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02)
+        - a0 * n12
+        - a1 * n02
+        - a2 * n01
+    )
+    # the floor only reaches rows whose det has underflowed to 0, where k = 0
+    k = 3.0 * det / np.maximum(s2, np.finfo(float).tiny)
+    m = s2 / 3.0
+    # off-diagonal of B^2 uses a_i + a_j = -a_l
+    c2 = (
+        (s00 - m - k * a0) ** 2
+        + (s11 - m - k * a1) ** 2
+        + (s22 - m - k * a2) ** 2
+        + 2.0
+        * (
+            (r02 * r12 + i02 * i12 - (a2 + k) * r01) ** 2
+            + (i02 * r12 - r02 * i12 - (a2 + k) * i01) ** 2
+            + (r01 * r12 - i01 * i12 - (a1 + k) * r02) ** 2
+            + (r01 * i12 + i01 * r12 - (a1 + k) * i02) ** 2
+            + (r01 * r02 + i01 * i02 - (a0 + k) * r12) ** 2
+            + (r01 * i02 - i01 * r02 - (a0 + k) * i12) ** 2
+        )
+    )
+    phi = np.arctan2(np.sqrt(s2 * c2) / 3.0, det) / 3.0
+    two_p = np.sqrt(s2 * (2.0 / 3.0))
+    top = two_p * np.cos(phi)
+    bottom = two_p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return np.maximum(np.abs(3.0 * q), np.maximum(2.0 * top - q, q - 2.0 * bottom))
 
 
 _ORACLE_SEED = 0xB07E57A7E5
@@ -382,27 +431,44 @@ _ORACLE_CHUNK = 1 << 17
 def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SEED) -> float:
     """Brute-force statistical lower estimate of the (1->1) norm.
 
-    Takes the max of ||Phi(|psi><psi|)||_tr over Haar-random pure states.
-    Converges to the true norm from below as samples grow; used to
-    cross-validate the iterative estimator, not to replace it.
+    Takes the max of ||Phi(|psi><psi|)||_tr over the Haar-random pure states
+    RngStream(seed).haar_states(samples, d). Converges to the true norm from
+    below as samples grow; used to cross-validate the iterative estimator,
+    not to replace it.
+
+    The trace norm only sees the Hermitian part of Phi(|psi><psi|), which is
+    real-linear in |psi><psi|. So the work is done in real arithmetic on
+    d*d coordinates (see _herm_coords): Phi, followed by taking the
+    Hermitian part, becomes one real d^2 x d^2 matrix built per call, each
+    chunk of probes is one real matmul, and for d = 3 the trace norm comes
+    from a closed form on the coordinates.
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
     if samples < 1:
         raise MetriqError("need at least one sample")
+    basis = _herm_from_coords(np.eye(d * d), d)
+    images = (basis.reshape(d * d, d * d) @ lmap.T).reshape(d * d, d, d)
+    # row i holds the coordinates of the Hermitian part of Phi(basis_i)
+    herm_map = _herm_coords((images + images.conj().transpose(0, 2, 1)) / 2.0)
+    j, k = np.triu_indices(d, 1)
     rng = RngStream(seed=seed)
     best = 0.0
     done = 0
     while done < samples:
         count = min(_ORACLE_CHUNK, samples - done)
         psi = rng.haar_states(count, d, start=2 * d * done)
-        outer = psi[:, :, None] * psi.conj()[:, None, :]
-        out = (lmap @ outer.reshape(count, d * d).T).T.reshape(count, d, d)
-        out = (out + out.conj().transpose(0, 2, 1)) / 2.0
+        re = psi.real.T
+        im = psi.imag.T
+        # coordinates of |psi><psi|, one probe per column
+        probes = np.concatenate(
+            [re * re + im * im, re[j] * re[k] + im[j] * im[k], im[j] * re[k] - re[j] * im[k]]
+        )
+        out = herm_map.T @ probes
         if d == 3:
-            vals = np.abs(_herm3_eigvals(out)).sum(axis=1)
+            vals = _herm3_trace_norm(out)
         else:
-            vals = np.abs(np.linalg.eigvalsh(out)).sum(axis=1)
+            vals = np.abs(np.linalg.eigvalsh(_herm_from_coords(out.T, d))).sum(axis=1)
         best = max(best, float(vals.max()))
         done += count
     return best

@@ -136,6 +136,24 @@ def test_simulate_seed_and_shots_requirements(tmp_path):
     assert run_cli("simulate", "g-eta", "--config", noshots, "--shots", "0").returncode == 3
 
 
+def test_seed_must_fit_in_64_bits(tmp_path):
+    top = 2**64 - 1
+    base = {
+        "simulate": {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 10},
+        "verify": {"metric": ETA2_JSON, "prover": "honest", "shots": 10, "exact": True},
+    }
+    for cmd, cfg in base.items():
+        argv = ["simulate", "g-eta"] if cmd == "simulate" else ["verify"]
+        for seed, code in ((top, 0), (top + 1, 3)):
+            from_cfg = write_json(tmp_path / f"{cmd}{seed}.json", {**cfg, "seed": seed})
+            assert run_cli(*argv, "--config", from_cfg).returncode == code
+            from_flag = write_json(tmp_path / f"{cmd}.json", {**cfg, "seed": 0})
+            proc = run_cli(*argv, "--config", from_flag, "--seed", str(seed))
+            assert proc.returncode == code
+            if code == 3:
+                assert "seed" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq.channels import kraus_channel, superoperator
 from metriq.dilation import embed
@@ -19,7 +21,8 @@ from metriq.linalg import hermitian_eig, trace_norm
 from metriq.rng import RngStream
 from metriq.tomography import (
     ReconstructedChannel,
-    _herm3_eigvals,
+    _herm3_trace_norm,
+    _herm_coords,
     default_design,
     dishonest_prover,
     embedded_metric_channel,
@@ -437,17 +440,44 @@ def test_norm_rejects_bad_shapes():
 # sampled oracle
 # ---------------------------------------------------------------------------
 
-def test_herm3_eigvals_against_lapack():
+def test_herm3_trace_norm_against_lapack():
     rng = RngStream(seed=88)
     raw = rng.normals(1800, start=0).reshape(100, 18)
     mats = raw[:, :9].reshape(100, 3, 3) + 1j * raw[:, 9:].reshape(100, 3, 3)
     mats = (mats + mats.conj().transpose(0, 2, 1)) / 2
-    ref = np.linalg.eigvalsh(mats)
-    got = np.sort(_herm3_eigvals(mats), axis=1)
+    ref = np.abs(np.linalg.eigvalsh(mats)).sum(axis=1)
+    got = _herm3_trace_norm(_herm_coords(mats).T)
     assert np.max(np.abs(ref - got)) < 1e-12
     scalars = np.stack([2.5 * np.eye(3), np.zeros((3, 3))]).astype(complex)
-    assert np.array_equal(_herm3_eigvals(scalars)[0], [2.5, 2.5, 2.5])
-    assert np.array_equal(_herm3_eigvals(scalars)[1], [0.0, 0.0, 0.0])
+    assert np.array_equal(_herm3_trace_norm(_herm_coords(scalars).T), [7.5, 0.0])
+
+
+@st.composite
+def _hard_hermitian3(draw):
+    """Hermitian 3x3 matrices where closed-form eigenvalues lose accuracy."""
+    u = RngStream(seed=draw(st.integers(0, 2**32))).haar_unitary(3)
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    kind = draw(st.sampled_from(["near_identity", "double", "rank1"]))
+    if kind == "near_identity":
+        # p -> 0 relative to the shift, and cos 3phi -> +-1
+        level = draw(st.floats(-1.0, 1.0))
+        spread = 10.0 ** draw(st.floats(-14.0, -8.0))
+        lam = level + spread * np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    elif kind == "double":
+        a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        lam = np.array([a, b, b])
+    else:
+        lam = np.array([draw(st.sampled_from([-1.0, 1.0])), 0.0, 0.0])
+    mat = (u * (scale * lam)) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hard_hermitian3())
+def test_herm3_trace_norm_property(mat):
+    lam = np.linalg.eigvalsh(mat)
+    got = _herm3_trace_norm(_herm_coords(mat[None]).T)[0]
+    assert abs(got - np.abs(lam).sum()) <= 1e-12 * max(1.0, np.abs(lam).max())
 
 
 def test_sampled_oracle_tracks_estimator_from_below():
@@ -476,6 +506,35 @@ def test_sampled_oracle_matches_direct_evaluation():
     got = sampled_one_to_one(phi, samples=n)
     assert abs(got - best) < 1e-12
     assert got == sampled_one_to_one(phi, samples=n)
+
+
+def test_sampled_oracle_qubit_map_matches_direct_evaluation():
+    from metriq.tomography import _ORACLE_SEED
+
+    rng = RngStream(seed=91)
+    k1 = 0.9 * rng.haar_unitary(2, start=0)
+    k2 = rng.haar_unitary(2, start=50)
+    phi = superoperator(kraus_channel([k1])) - superoperator(kraus_channel([k2]))
+    n = 1000
+    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 2)
+    best = 0.0
+    for k in range(n):
+        rho = np.outer(psi[k], psi[k].conj())
+        out = (phi @ rho.reshape(-1)).reshape(2, 2)
+        best = max(best, trace_norm((out + out.conj().T) / 2))
+    assert abs(sampled_one_to_one(phi, samples=n) - best) < 1e-12
+
+
+def test_sampled_oracle_across_chunk_boundary():
+    from metriq.tomography import _ORACLE_SEED
+
+    eta = validate_metric(ETA2)
+    phi = superoperator(embedded_metric_channel(eta)) - np.eye(9)
+    n = 2**17 + 3
+    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 3)
+    out = (phi @ (psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, 9).T).T.reshape(n, 3, 3)
+    best = np.abs(np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2)).sum(axis=1).max()
+    assert abs(sampled_one_to_one(phi, samples=n) - best) < 1e-12
 
 
 def test_sampled_oracle_rejects_zero_samples():
