@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, MetricExceedsIdentityError, MetriqError
-from .hilbert import MetricOperator, matrix_from_json, matrix_to_json
-from .linalg import HermitianEigensystem, as_matrix, hermitian_eig
+from .dilation import normalize_metric
+from .hilbert import MetricOperator
+from .linalg import as_matrix, hermitian_eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +95,14 @@ def apply_e_eta(eta: MetricOperator, matrix) -> np.ndarray:
 def scaled_metric(eta: MetricOperator) -> tuple[float, MetricOperator]:
     """(kappa, kappa * eta) with kappa = min(1, 1/||eta||).
 
-    Already-subidentity metrics pass through with kappa exactly 1. The
-    scaled operator reuses the cached eigenvectors.
+    Already-subidentity metrics pass through with kappa exactly 1; the
+    others are rescaled by normalize_metric, which reuses the cached
+    eigenvectors.
     """
     if eta.subidentity:
         return 1.0, eta
-    kappa = 1.0 / eta.norm
-    eig = HermitianEigensystem(eta.eig.eigenvalues * kappa, eta.eig.eigenvectors)
-    scaled = MetricOperator(
-        matrix=eta.matrix * kappa,
-        eig=eig,
-        norm=float(eig.eigenvalues[-1]),
-        subidentity=True,
-    )
-    return kappa, scaled
+    scaled, norm = normalize_metric(eta)
+    return 1.0 / norm, scaled
 
 
 def g_kappa_eta_inv(eta: MetricOperator) -> tuple[float, KrausChannel]:
@@ -168,18 +163,3 @@ def is_trace_nonincreasing(ch: KrausChannel) -> bool:
         s += k.conj().T @ k
     gap = hermitian_eig(np.eye(ch.dim_in) - s)
     return bool(gap.eigenvalues[0] >= -1e-10)
-
-
-def channel_to_json(ch: KrausChannel) -> dict:
-    return {
-        "dim_in": ch.dim_in,
-        "dim_out": ch.dim_out,
-        "kraus": [matrix_to_json(k) for k in ch.kraus_ops],
-    }
-
-
-def channel_from_json(obj) -> KrausChannel:
-    if not isinstance(obj, dict) or not {"dim_in", "dim_out", "kraus"} <= set(obj):
-        raise MetriqError("channel JSON needs 'dim_in', 'dim_out' and 'kraus' fields")
-    ops = tuple(matrix_from_json(k) for k in obj["kraus"])
-    return KrausChannel(ops, dim_in=int(obj["dim_in"]), dim_out=int(obj["dim_out"]))

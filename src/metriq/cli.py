@@ -78,9 +78,9 @@ def _decode_matrix(blob, what):
             raise ConfigError(f"{what}: object form needs 'dim' and 'matrix'")
         try:
             mat = matrix_from_json(blob["matrix"])
-            dim = int(blob["dim"])
-        except (MetriqError, TypeError, ValueError) as exc:
+        except MetriqError as exc:
             raise ConfigError(f"{what}: {exc}") from None
+        dim = _integer(blob["dim"], f"{what}: 'dim'")
         if mat.shape != (dim, dim):
             raise ConfigError(f"{what}: dim {dim} does not match matrix shape {mat.shape}")
         return mat
@@ -90,15 +90,22 @@ def _decode_matrix(blob, what):
         raise ConfigError(f"{what}: {exc}") from None
 
 
+def _integer(value, what):
+    """int(value) for a config number; booleans, fractions and non-finite floats fail."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _merged_int(flag_value, cfg, key, minimum, maximum=None):
     """Flag wins over config; the value must be present in one of them."""
     value = flag_value if flag_value is not None else cfg.get(key)
     if value is None:
         raise ConfigError(f"'{key}' must be given via --{key} or the config file")
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}") from None
+    value = _integer(value, f"'{key}'")
     if value < minimum:
         raise ConfigError(f"'{key}' must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:

@@ -10,8 +10,8 @@ with u the lambda_min eigenvector scaled to norm sqrt(1 - r^2) gives the
 dilation: projecting U (rho + 0) U^dagger back onto the qubit block returns
 eta^{1/2} rho eta^{1/2} exactly, with the block trace as the postselection
 probability. theta and the phase of u are free; both default to the
-convention that makes the construction reproduce the reference matrices
-byte-for-byte.
+convention of the reference matrices, which the construction reproduces
+to roundoff.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, MetriqError, NotNormalizedError
+from .errors import DimMismatchError, NotNormalizedError
 from .hilbert import MetricOperator, validate_density
 from .linalg import HermitianEigensystem, as_matrix
 
@@ -71,11 +71,7 @@ def build_dilation(
 
     u = np.zeros(2, dtype=complex)
     if r < 1.0 - _DEGENERATE_GAP:
-        v = eta_tilde.eig.eigenvectors[:, 0].copy()
-        for comp in v:
-            if abs(comp) > 1e-12:
-                v *= comp.conjugate() / abs(comp)
-                break
+        v = eta_tilde.eig.eigenvectors[:, 0]
         u = math.sqrt(1.0 - lam_min) * np.exp(1j * u_phase) * v
 
     phase = np.exp(1j * theta)

@@ -13,7 +13,7 @@ MetricOperator, since almost every consumer needs eta^{+-1/2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,27 +193,9 @@ def validate_density(rho, dim: int | None = None, min_trace: float = 0.0) -> np.
 # JSON wire format: complex entries are [re, im] pairs, matrices row-major.
 # ---------------------------------------------------------------------------
 
-def matrix_to_json(matrix) -> list:
-    m = as_matrix(matrix)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def matrix_from_json(rows) -> np.ndarray:
     try:
         data = [[complex(entry[0], entry[1]) for entry in row] for row in rows]
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError, OverflowError) as exc:
         raise MetriqError(f"malformed complex-matrix JSON: {exc}") from exc
     return as_matrix(data)
-
-
-def metric_to_json(eta: MetricOperator) -> dict:
-    return {"dim": eta.dim, "matrix": matrix_to_json(eta.matrix)}
-
-
-def metric_from_json(obj) -> MetricOperator:
-    if not isinstance(obj, dict) or "dim" not in obj or "matrix" not in obj:
-        raise MetriqError("metric JSON needs 'dim' and 'matrix' fields")
-    m = matrix_from_json(obj["matrix"])
-    if m.shape != (int(obj["dim"]), int(obj["dim"])):
-        raise MetriqError(f"metric JSON dim {obj['dim']} does not match matrix shape {m.shape}")
-    return validate_metric(m)

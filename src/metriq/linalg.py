@@ -1,15 +1,12 @@
 """Dense complex-matrix kernels for small dimensions (n <= 9).
 
 Matrices are numpy arrays in row-major order; a "ComplexMatrix" throughout the
-package is simply a finite 2-D ndarray. Eigendecompositions use a cyclic
-Jacobi sweep with a fixed rotation convention, so results are reproducible
-bit-for-bit across platforms: eigenvalues come out ascending and every
-eigenvector is rescaled so its first component above 1e-12 in magnitude is
-real and positive. Singular values are read off the Hermitian embedding
-
-    [[0, M], [M^dagger, 0]]  with spectrum  {+sigma_i, -sigma_i, 0...},
-
-which avoids squaring the condition number via M^dagger M.
+package is simply a finite 2-D ndarray. Every eigendecomposition and norm in
+the package goes through LAPACK (numpy's eigh and SVD); results are
+deterministic on one machine and agree across platforms to roundoff, not bit
+for bit. hermitian_eig fixes the conventions LAPACK leaves open: eigenvalues
+come out ascending and every eigenvector is rescaled so its first component
+above 1e-12 in magnitude is real and positive.
 """
 
 from __future__ import annotations
@@ -51,48 +48,6 @@ class HermitianEigensystem:
     eigenvectors: np.ndarray
 
 
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a (numerically) Hermitian matrix.
-
-    Returns unsorted real diagonal and the accumulated unitary. The sweep
-    order (p ascending, then q) and the rotation convention are fixed; no
-    randomization, no pivoting, so the output is platform-stable.
-    """
-    a = np.array((matrix + matrix.conj().T) / 2.0, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n <= 1:
-        return a.real.diagonal().copy(), v
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    stop = 1e-14 * scale
-    for _ in range(64):
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        if np.linalg.norm(hollow) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= 1e-18 * scale:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                # small-magnitude root of t^2 - 2*tau*t - 1 = 0
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = -sign / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # 2x2 unitary [[c, -s w],[s conj(w), c]] zeroes a[p, q]
-                rot = np.array([[c, -s * phase], [s * np.conj(phase), c]], dtype=complex)
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    return a.real.diagonal().copy(), v
-
-
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     out = vectors.copy()
     for k in range(out.shape[1]):
@@ -112,45 +67,26 @@ def hermitian_eig(matrix) -> HermitianEigensystem:
     """
     m = as_matrix(matrix)
     _require_square(m)
-    anti = m - m.conj().T
-    defect = float(_singular_values(anti)[0]) if np.any(anti) else 0.0
+    defect = float(np.linalg.norm(m - m.conj().T, 2))
     # the gate floor is 1e-10, so the matrix norm only matters past that
-    if defect > _HERM_TOL:
-        norm = float(_singular_values(m)[0]) if m.size else 0.0
-        if defect > _HERM_TOL * max(1.0, norm):
-            raise NotHermitianError(
-                f"Hermiticity defect {defect:.3e} exceeds tolerance for shape {m.shape}"
-            )
-    diag, vec = _jacobi(m)
-    order = np.argsort(diag, kind="stable")
-    return HermitianEigensystem(diag[order], _fix_phases(vec[:, order]))
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values via the Hermitian embedding (no validation)."""
-    rows, cols = m.shape
-    emb = np.zeros((rows + cols, rows + cols), dtype=complex)
-    emb[:rows, rows:] = m
-    emb[rows:, :rows] = m.conj().T
-    diag, _ = _jacobi(emb)
-    # spectrum is {+sigma_i, -sigma_i, 0...}: keep the nonnegative half
-    sv = np.sort(np.clip(diag, 0.0, None))[::-1][: min(rows, cols)]
-    return sv
+    if defect > _HERM_TOL and defect > _HERM_TOL * max(1.0, float(np.linalg.norm(m, 2))):
+        raise NotHermitianError(
+            f"Hermiticity defect {defect:.3e} exceeds tolerance for shape {m.shape}"
+        )
+    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return HermitianEigensystem(values, _fix_phases(vectors))
 
 
 def operator_norm(matrix) -> float:
     """Largest singular value; equals max |eigenvalue| for Hermitian input."""
-    m = as_matrix(matrix)
-    if m.size == 0:
-        return 0.0
-    return float(_singular_values(m)[0])
+    return float(np.linalg.norm(as_matrix(matrix), 2))
 
 
 def trace_norm(matrix) -> float:
     """Sum of singular values of a square matrix."""
     m = as_matrix(matrix)
     _require_square(m)
-    return float(np.sum(_singular_values(m)))
+    return float(np.linalg.norm(m, "nuc"))
 
 
 def psd_sqrt(matrix) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import g_kappa_eta_inv
 from .dilation import build_dilation, embed, normalize_metric, postselect
 from .errors import MetricExceedsIdentityError, MetriqError
-from .hilbert import MetricOperator, matrix_to_json, validate_density, validate_metric
+from .hilbert import MetricOperator, validate_density, validate_metric
 from .linalg import matrix_exp_hermitian_generator
 from .ptsym import PtSystem, u_pt
 from .rng import RngStream
@@ -151,16 +151,6 @@ def chained_success_probability(sys: PtSystem, rho, t: float) -> float:
     rho = validate_density(rho, dim=2, min_trace=1e-12)
     u = u_pt(sys, t)
     return sys.kappa * float(np.trace(u @ rho @ u.conj().T).real)
-
-
-def record_to_json(record: SimulationRecord) -> dict:
-    return {
-        "requested_successes": record.requested_successes,
-        "total_copies_used": record.total_copies_used,
-        "success_ratio": record.success_ratio,
-        "output_state_estimate": matrix_to_json(record.output_state_estimate),
-        "seed": record.seed,
-    }
 
 
 def summary(record: SimulationRecord, analytic_prob: float) -> dict:

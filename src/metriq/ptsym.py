@@ -141,10 +141,6 @@ def analytic_pt_evolution(sys: PtSystem, rho, t: float) -> tuple[np.ndarray, flo
     return raw / weight, sys.kappa * weight
 
 
-def pt_params_to_json(p: PtHamiltonian, t: float) -> dict:
-    return {"r": p.r, "s": p.s, "phi": p.phi, "t": float(t)}
-
-
 def pt_params_from_json(obj) -> tuple[PtHamiltonian, float]:
     if not isinstance(obj, dict) or not {"r", "s", "phi", "t"} <= set(obj):
         raise MetriqError("PT parameter JSON needs 'r', 's', 'phi' and 't' fields")
@@ -153,6 +149,6 @@ def pt_params_from_json(obj) -> tuple[PtHamiltonian, float]:
         s = float(obj["s"])
         phi = float(obj["phi"])
         t = float(obj["t"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MetriqError(f"PT parameters must be numbers: {exc}") from exc
     return PtHamiltonian(r=r, s=s, phi=phi), t

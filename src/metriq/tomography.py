@@ -291,6 +291,13 @@ def _superop_dim(superop: np.ndarray) -> int:
     return d
 
 
+def _hermitian_image(lmap: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hermitian part of the map applied to each matrix of the batch x."""
+    k, d, _ = x.shape
+    y = (lmap @ x.reshape(k, d * d).T).T.reshape(k, d, d)
+    return (y + y.conj().transpose(0, 2, 1)) / 2.0
+
+
 def one_to_one_norm(superop) -> float:
     """max over pure states of ||Phi(|psi><psi|)||_tr for Hermiticity-preserving Phi.
 
@@ -311,32 +318,24 @@ def one_to_one_norm(superop) -> float:
     psi = rng.haar_states(_NORM_STARTS, d)
     adjoint = lmap.conj().T
 
-    values = np.zeros(_NORM_STARTS)
-    for _ in range(_NORM_MAX_ITERS):
-        outer = psi[:, :, None] * psi.conj()[:, None, :]
-        a = (lmap @ outer.reshape(_NORM_STARTS, d * d).T).T.reshape(_NORM_STARTS, d, d)
-        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    for it in range(_NORM_MAX_ITERS + 1):
+        a = _hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :])
+        if it == _NORM_MAX_ITERS:
+            # iteration cap: only the objective at the last iterate is left
+            lam = np.linalg.eigvalsh(a)
+            break
         lam, vec = np.linalg.eigh(a)
-        values = np.abs(lam).sum(axis=1)
-        sign = np.sign(lam)
-        s = (vec * sign[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-        m = (adjoint @ s.reshape(_NORM_STARTS, d * d).T).T.reshape(_NORM_STARTS, d, d)
-        m = (m + m.conj().transpose(0, 2, 1)) / 2.0
+        s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        m = _hermitian_image(adjoint, s)
 
         grad = np.einsum("kab,kb->ka", m, psi)
         rayleigh = np.einsum("ka,ka->k", psi.conj(), grad).real
         resid = np.linalg.norm(grad - rayleigh[:, None] * psi, axis=1)
         if np.max(resid) <= _NORM_TOL:
             break
-        _, mvec = np.linalg.eigh(m)
-        psi = mvec[:, :, -1]
-    else:
-        # iteration cap: refresh the objective at the last iterate
-        outer = psi[:, :, None] * psi.conj()[:, None, :]
-        a = (lmap @ outer.reshape(_NORM_STARTS, d * d).T).T.reshape(_NORM_STARTS, d, d)
-        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
-        values = np.abs(np.linalg.eigvalsh(a)).sum(axis=1)
+        psi = np.linalg.eigh(m)[1][:, :, -1]
 
+    values = np.abs(lam).sum(axis=1)
     return float(max(values.max(), floor))
 
 

@@ -7,8 +7,6 @@ from metriq.channels import (
     KrausChannel,
     apply,
     apply_e_eta,
-    channel_from_json,
-    channel_to_json,
     choi,
     compose,
     g_eta,
@@ -224,21 +222,3 @@ def test_choi_reconstructs_channel_action():
         rho = random_density(rng, 2, start=10 * i)
         rebuilt = np.einsum("ij,iajb->ab", rho, c4)
         assert np.max(np.abs(rebuilt - apply(ch, rho))) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
-# wire format
-# ---------------------------------------------------------------------------
-
-def test_channel_json_roundtrip():
-    ch = g_eta(validate_metric(ETA2))
-    back = channel_from_json(channel_to_json(ch))
-    assert back.dim_in == 2 and back.dim_out == 2
-    assert np.array_equal(back.kraus_ops[0], ch.kraus_ops[0])
-
-
-def test_channel_json_malformed():
-    with pytest.raises(MetriqError):
-        channel_from_json({"kraus": []})
-    with pytest.raises(MetriqError):
-        channel_from_json({"dim_in": 2, "dim_out": 2, "kraus": [[[1.0]]]})

@@ -154,6 +154,51 @@ def test_seed_must_fit_in_64_bits(tmp_path):
                 assert "seed" in proc.stderr
 
 
+def test_config_numbers_must_be_integers(tmp_path):
+    base = {
+        "simulate": {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 10, "seed": 1},
+        "verify": {"metric": ETA2_JSON, "prover": "honest", "shots": 10, "exact": True, "seed": 1},
+    }
+    cases = [
+        ("shots", float("inf"), 3),
+        ("seed", float("inf"), 3),
+        ("shots", float("nan"), 3),
+        ("shots", 2.5, 3),
+        ("seed", 1.5, 3),
+        ("shots", True, 3),
+        ("seed", False, 3),
+        ("shots", 1e3, 0),
+        ("seed", 7.0, 0),
+    ]
+    for cmd, cfg in base.items():
+        argv = ["simulate", "g-eta"] if cmd == "simulate" else ["verify"]
+        for i, (key, value, code) in enumerate(cases):
+            path = write_json(tmp_path / f"{cmd}{i}.json", {**cfg, key: value})
+            proc = run_cli(*argv, "--config", path)
+            assert proc.returncode == code, (cmd, key, value)
+            if code == 3:
+                assert key in proc.stderr
+
+
+def test_matrix_dim_must_be_an_integer(tmp_path):
+    for dim, code in ((2.9, 3), (float("inf"), 3), (True, 3), ("2", 0), (2.0, 0)):
+        path = write_json(tmp_path / "m.json", {"dim": dim, "matrix": ETA2_JSON})
+        proc = run_cli("metric-validate", path)
+        assert proc.returncode == code, dim
+        if code == 3:
+            assert "dim" in proc.stderr
+
+
+def test_oversized_config_numbers_are_parse_errors(tmp_path):
+    huge = 10**400
+    pt = write_json(
+        tmp_path / "pt.json", {"r": 1.0, "s": huge, "phi": 0.5, "t": 1.0, "shots": 10, "seed": 1}
+    )
+    assert run_cli("simulate", "pt", "--config", pt).returncode == 3
+    metric = write_json(tmp_path / "m.json", [[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    assert run_cli("metric-validate", metric).returncode == 3
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ from metriq.hilbert import (
     lift,
     lift_eta,
     matrix_from_json,
-    matrix_to_json,
-    metric_from_json,
-    metric_to_json,
     representation_change,
     validate_metric,
 )
@@ -243,25 +240,21 @@ def test_lift_eta_gate_uses_eta_norm_not_euclidean():
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def test_matrix_json_roundtrip_is_exact():
-    m = np.array([[0.8, -0.2j], [0.2j, 0.8]])
-    back = matrix_from_json(matrix_to_json(m))
-    assert np.array_equal(back, m)
-
-
-def test_metric_json_roundtrip():
-    eta = validate_metric(ETA2)
-    back = metric_from_json(metric_to_json(eta))
-    assert np.array_equal(back.matrix, eta.matrix)
-    assert back.subidentity == eta.subidentity
+def test_matrix_from_json_is_exact():
+    back = matrix_from_json([[[0.8, 0.0], [0.0, -0.2]], [[0.0, 0.2], [0.8, 0.0]]])
+    assert back.dtype == complex
+    assert np.array_equal(back, ETA2)
 
 
 def test_json_malformed_inputs():
-    with pytest.raises(MetriqError):
-        matrix_from_json([[[1.0], [0.0, 0.0]]])
-    with pytest.raises(MetriqError):
-        metric_from_json({"matrix": [[[1.0, 0.0]]]})
-    with pytest.raises(MetriqError):
-        metric_from_json({"dim": 3, "matrix": [[[1.0, 0.0]]]})
-    with pytest.raises(MetriqError):
-        metric_from_json([1, 2, 3])
+    for rows in (
+        [[[1.0], [0.0, 0.0]]],
+        [[{"re": 1.0, "im": 0.0}]],
+        [[[10**400, 0.0]]],
+        [[["1", 0.0]]],
+        [[[float("nan"), 0.0]]],
+        [1, 2, 3],
+        5,
+    ):
+        with pytest.raises(MetriqError):
+            matrix_from_json(rows)

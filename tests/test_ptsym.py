@@ -17,7 +17,6 @@ from metriq.ptsym import (
     analytic_pt_evolution,
     build_pt_system,
     pt_params_from_json,
-    pt_params_to_json,
     u_pt,
 )
 from metriq.rng import RngStream
@@ -170,13 +169,13 @@ def test_analytic_evolution_rejects_bad_states():
         analytic_pt_evolution(sys, np.eye(3) / 3.0, 1.0)
 
 
-def test_pt_params_json_roundtrip():
-    p = REF
-    obj = pt_params_to_json(p, 2.5)
-    back, t = pt_params_from_json(obj)
-    assert back == p
+def test_pt_params_from_json():
+    back, t = pt_params_from_json({"r": 1.0, "s": 2.0, "phi": math.pi / 6, "t": 2.5})
+    assert back == REF
     assert t == 2.5
     with pytest.raises(MetriqError):
         pt_params_from_json({"r": 1.0, "s": 2.0})
     with pytest.raises(MetriqError):
         pt_params_from_json({"r": "x", "s": 2.0, "phi": 0.0, "t": 0.0})
+    with pytest.raises(MetriqError):
+        pt_params_from_json({"r": 1.0, "s": 10**400, "phi": 0.0, "t": 0.0})
