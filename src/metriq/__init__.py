@@ -12,6 +12,7 @@ from .errors import (
     DegenerateMetricError,
     DimMismatchError,
     InvalidDensityOperatorError,
+    IterationCapWarning,
     MetricExceedsIdentityError,
     MetriqError,
     NegativeParameterError,

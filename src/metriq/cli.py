@@ -220,7 +220,9 @@ def _cmd_verify(args) -> int:
     if "metric" not in cfg or "prover" not in cfg:
         raise ConfigError("verify config needs 'metric' and 'prover'")
     seed = _merged_int(args.seed, cfg, "seed", minimum=0, maximum=_MAX_SEED)
-    exact = bool(cfg.get("exact", False))
+    exact = cfg.get("exact", False)
+    if not isinstance(exact, bool):
+        raise ConfigError(f"'exact' must be true or false, got {exact!r}")
     if exact and args.shots is None and "shots" not in cfg:
         shots = 0
     else:

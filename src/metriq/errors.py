@@ -2,6 +2,7 @@
 
 Everything derives from MetriqError so callers can catch domain failures
 with a single except clause while I/O and usage errors stay separate.
+Warnings flag results that are returned but not known to be converged.
 """
 
 
@@ -59,3 +60,7 @@ class SingularDesignError(MetriqError):
 
 class DegenerateMetricError(MetriqError):
     """Verification threshold undefined for (near-)degenerate metrics."""
+
+
+class IterationCapWarning(UserWarning):
+    """An iterative estimator stopped at its iteration cap before converging."""

@@ -6,11 +6,13 @@ state, then spend random numbers only on the accept/reject coin flips. The
 success ratio ||eta|| * N / total_copies_used is the procedure's estimator
 of the channel's trace; the returned state carries no sampling error.
 
-Random-number accounting is per attempt: attempt i of the single-gate
-procedure reads counter slot i, attempt i of the two-gate PT procedure
-reads slots 2i and 2i+1 (the second slot is reserved even when the first
-gate already failed). Totals are therefore independent of the internal
-chunk size and identical across reruns and platforms.
+Random-number accounting is per success: the success probability p is
+known exactly (for PT, the product of its two independent gates), so
+success j draws its count of discarded copies by inversion from counter
+slot j, floor(log1p(-u_j) / log1p(-p)) (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. X). The verification game's dishonest prover
+reads a second slot, n + j, for success j's unitary. The work is O(N)
+whatever p is, and totals are identical across reruns and platforms.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .dilation import build_dilation, embed, normalize_metric, postselect
 from .errors import MetricExceedsIdentityError, MetriqError
 from .hilbert import MetricOperator, validate_density, validate_metric
 from .linalg import matrix_exp_hermitian_generator
-from .ptsym import PtSystem, u_pt
+from .ptsym import PtSystem, analytic_pt_evolution
 from .rng import RngStream
 
-_CHUNK = 1 << 16
+_MAX_SUCCESSES = 10**9  # per stream: about 20 s at about 20 ns per slot
+_BLOCK = 1 << 20  # slots per draw; bounds memory, never changes a result
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,28 +55,35 @@ def _require_shot_count(n) -> int:
     return n
 
 
-def _attempts_for_successes(rng: RngStream, accept, n_target: int, slots_per: int) -> int:
-    """Count attempts until n_target accepted, reading slots_per slots per attempt.
+def _uniform_blocks(rng: RngStream, count: int, start: int = 0):
+    """Uniforms for slots [start, start + count), yielded in blocks of at most _BLOCK."""
+    for lo in range(0, count, _BLOCK):
+        yield rng.uniforms(min(_BLOCK, count - lo), start=start + lo)
 
-    accept maps a (slots_per, k)-shaped uniform block to a boolean hit mask
-    of length k. Slot layout is fixed per attempt, so the result does not
-    depend on _CHUNK.
+
+def _attempts_for_successes(rng: RngStream, p: float, n: int) -> int:
+    """Copies used until n successes at per-copy success probability p.
+
+    The budget is checked before any draw. A uniform is at most 1 - 2^-53,
+    so each failure count is at most 36.74/p and a total that passes the
+    check fits in int64.
     """
-    total = 0
-    succ = 0
-    base = 0
-    while succ < n_target:
-        u = rng.uniforms(slots_per * _CHUNK, start=slots_per * base)
-        hits = accept(u.reshape(_CHUNK, slots_per).T)
-        need = n_target - succ
-        count = int(hits.sum())
-        if count >= need:
-            cum = np.cumsum(hits)
-            idx = int(np.searchsorted(cum, need))
-            return total + idx + 1
-        succ += count
-        total += _CHUNK
-        base += _CHUNK
+    if not p > 0.0:
+        raise MetriqError("success probability vanished")
+    if n > _MAX_SUCCESSES:
+        raise MetriqError(f"{n} successes exceed the budget of {_MAX_SUCCESSES} per stream")
+    if n * (1.0 + 37.0 / p) >= 2.0**63:
+        raise MetriqError(
+            f"{n} successes at success probability {p:.3g} could need more than 2^63 copies"
+        )
+    if p >= 1.0:
+        return n
+    log_q = np.log1p(-p)
+    total = n
+    for u in _uniform_blocks(rng, n):
+        # the ratio is nonnegative, so truncation is the floor
+        total += int((np.log1p(-u) / log_q).astype(np.int64).sum())
+    return total
 
 
 def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> SimulationRecord:
@@ -92,11 +102,7 @@ def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> Simulati
     eta_tilde, scale = normalize_metric(eta)
     dil = build_dilation(eta_tilde)
     block, prob = postselect(dil, embed(rho))
-    if prob <= 0.0:
-        raise MetriqError("postselection probability vanished")
-    p_hit = min(prob, 1.0)
-
-    total = _attempts_for_successes(rng, lambda u: u[0] < p_hit, n, slots_per=1)
+    total = _attempts_for_successes(rng, min(prob, 1.0), n)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
@@ -132,11 +138,7 @@ def simulate_pt(sys: PtSystem, rho, t: float, n: int, rng: RngStream) -> Simulat
     dil_rev = build_dilation(eta_rev)
     block4, p4 = postselect(dil_rev, embed(state3))
 
-    p_first = min(p2, 1.0)
-    p_second = min(p4, 1.0)
-    total = _attempts_for_successes(
-        rng, lambda u: (u[0] < p_first) & (u[1] < p_second), n, slots_per=2
-    )
+    total = _attempts_for_successes(rng, min(p2, 1.0) * min(p4, 1.0), n)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
@@ -148,9 +150,7 @@ def simulate_pt(sys: PtSystem, rho, t: float, n: int, rng: RngStream) -> Simulat
 
 def chained_success_probability(sys: PtSystem, rho, t: float) -> float:
     """kappa * tr(U rho U^dagger): the per-copy success probability of simulate_pt."""
-    rho = validate_density(rho, dim=2, min_trace=1e-12)
-    u = u_pt(sys, t)
-    return sys.kappa * float(np.trace(u @ rho @ u.conj().T).real)
+    return analytic_pt_evolution(sys, rho, t)[1]
 
 
 def summary(record: SimulationRecord, analytic_prob: float) -> dict:

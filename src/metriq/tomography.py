@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,13 +32,14 @@ from .dilation import embed
 from .errors import (
     DegenerateMetricError,
     DimMismatchError,
+    IterationCapWarning,
     MetricExceedsIdentityError,
     MetriqError,
     SingularDesignError,
 )
 from .hilbert import MetricOperator, validate_density
 from .linalg import as_matrix, hermitian_eig, trace_norm
-from .montecarlo import simulate_g_eta
+from .montecarlo import _attempts_for_successes, _uniform_blocks, simulate_g_eta
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
@@ -141,43 +143,22 @@ def _honest_response(eta, sigma, n, rng, exact):
     return rec.success_ratio, rec.output_state_estimate
 
 
-_SAMPLE_CHUNK = 1 << 16
-
-
 def _dishonest_response(model, sigma, n, rng, exact):
     probs = np.array(model.probs)
-    terms = []
-    for u in model.unitaries:
-        w = _embed_unitary(u)
-        terms.append(w.conj().T @ sigma @ w)
-    terms = np.array(terms)
+    terms = np.array([w.conj().T @ sigma @ w for w in map(_embed_unitary, model.unitaries)])
     if exact:
         mix = np.tensordot(probs, terms, axes=1)
         ratio = float(np.trace(mix).real)
         return ratio, mix / ratio
 
-    cum = np.cumsum(probs)
+    p_respond = float(probs.sum())
+    total = _attempts_for_successes(rng, p_respond, n)
+    # success j picks its unitary from slot n + j, given that the prover responded
+    cond = np.cumsum(probs) / p_respond
     counts = np.zeros(len(probs), dtype=np.int64)
-    total = 0
-    succ = 0
-    base = 0
-    while succ < n:
-        u = rng.uniforms(_SAMPLE_CHUNK, start=base)
-        idx = np.searchsorted(cum, u, side="right")
-        hits = idx < len(probs)
-        hit_cum = np.cumsum(hits)
-        need = n - succ
-        if hit_cum[-1] >= need:
-            stop = int(np.searchsorted(hit_cum, need))
-            sel = idx[: stop + 1]
-            counts += np.bincount(sel[sel < len(probs)], minlength=len(probs))
-            total += stop + 1
-            succ = n
-        else:
-            counts += np.bincount(idx[hits], minlength=len(probs))
-            total += _SAMPLE_CHUNK
-            succ += int(hit_cum[-1])
-        base += _SAMPLE_CHUNK
+    for u in _uniform_blocks(rng, n, start=n):
+        idx = np.minimum(np.searchsorted(cond, u, side="right"), len(probs) - 1)
+        counts += np.bincount(idx, minlength=len(probs))
     state = np.tensordot(counts / float(n), terms, axes=1)
     return n / total, state
 
@@ -306,7 +287,9 @@ def one_to_one_norm(superop) -> float:
     the best state for S, which is the top eigenvector of the pulled-back
     observable; the objective is nondecreasing, and iteration stops when
     every start is first-order stationary within 1e-8. The returned value is
-    floored at ||Phi(I/d)||_tr, which the maximum always dominates.
+    floored at ||Phi(I/d)||_tr, which the maximum always dominates. Reaching
+    the 150-iteration cap first keeps the objective at the last iterate and
+    issues an IterationCapWarning naming the largest stationarity residual.
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
@@ -323,6 +306,9 @@ def one_to_one_norm(superop) -> float:
         if it == _NORM_MAX_ITERS:
             # iteration cap: only the objective at the last iterate is left
             lam = np.linalg.eigvalsh(a)
+            warnings.warn(
+                f"one_to_one_norm hit its {it}-iteration cap; largest stationarity residual "
+                f"{np.max(resid):.3g} > {_NORM_TOL:g}", IterationCapWarning, stacklevel=2)
             break
         lam, vec = np.linalg.eigh(a)
         s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)

@@ -7,6 +7,7 @@ stdout are the ones a shell pipeline would see.
 import json
 import subprocess
 import sys
+import time
 
 ETA2_JSON = [[[0.8, 0.0], [0.0, -0.2]], [[0.0, 0.2], [0.8, 0.0]]]
 IDENTITY_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -16,11 +17,12 @@ STATE00_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
 CSV_HEADER = "seed,N,total_copies,success_ratio,analytic_prob,abs_error"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "metriq.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -199,6 +201,58 @@ def test_oversized_config_numbers_are_parse_errors(tmp_path):
     assert run_cli("metric-validate", metric).returncode == 3
 
 
+def test_pt_parameters_reject_booleans(tmp_path):
+    base = {"r": 1.0, "s": 2.0, "phi": 0.5, "t": 1.0, "shots": 10, "seed": 1}
+    assert run_cli("simulate", "pt", "--config", write_json(tmp_path / "ok.json", base)).returncode == 0
+    for key, value in (("r", True), ("s", True), ("phi", False), ("t", True)):
+        path = write_json(tmp_path / f"{key}.json", {**base, key: value})
+        proc = run_cli("simulate", "pt", "--config", path)
+        assert proc.returncode == 3, key
+        assert f"'{key}'" in proc.stderr
+
+
+def test_near_singular_metric_finishes_at_once(tmp_path):
+    # a metric eigenvalue of 1e-9 and a state on its eigenvector: about 2e12 copies
+    cfg = write_json(
+        tmp_path / "ge.json",
+        {
+            "metric": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-9, 0.0]]],
+            "state": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            "shots": 2000,
+            "seed": 1,
+        },
+    )
+    t0 = time.perf_counter()
+    proc = run_cli("simulate", "g-eta", "--config", cfg, timeout=30)
+    assert proc.returncode == 0
+    assert time.perf_counter() - t0 < 5.0
+    row = proc.stdout.splitlines()[1].split(",")
+    assert int(row[2]) > 10**12
+
+
+def test_over_budget_requests_are_domain_errors(tmp_path):
+    ge = write_json(
+        tmp_path / "ge.json", {"metric": ETA2_JSON, "state": STATE00_JSON, "seed": 1}
+    )
+    pt = write_json(
+        tmp_path / "pt.json", {"r": 1.0, "s": 2.0, "phi": 0.5, "t": 1.0, "shots": 10**10, "seed": 1}
+    )
+    ver = write_json(
+        tmp_path / "v.json", {"metric": ETA2_JSON, "prover": "honest", "shots": 1e12, "seed": 3}
+    )
+    for argv in (
+        ("simulate", "g-eta", "--config", ge, "--shots", str(10**9 + 1)),
+        ("simulate", "pt", "--config", pt),
+        ("verify", "--config", ver),
+    ):
+        t0 = time.perf_counter()
+        proc = run_cli(*argv, timeout=30)
+        assert proc.returncode == 2, argv
+        assert time.perf_counter() - t0 < 5.0
+        assert "budget" in proc.stderr
+        assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -233,6 +287,21 @@ def test_verify_dishonest_rejects_with_exit_one(tmp_path):
     blob = json.loads(proc.stdout)
     assert blob["verdict"] == "reject"
     assert blob["distance"] >= blob["threshold"]
+
+
+def test_verify_exact_must_be_a_boolean(tmp_path):
+    base = {"metric": ETA2_JSON, "prover": "honest", "seed": 3}
+    for value in ("false", "true", 0, 1, None, []):
+        path = write_json(tmp_path / "v.json", {**base, "exact": value})
+        proc = run_cli("verify", "--config", path)
+        assert proc.returncode == 3, value
+        assert "exact" in proc.stderr
+    exact = write_json(tmp_path / "t.json", {**base, "exact": True})
+    proc = run_cli("verify", "--config", exact)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["shots_per_input"] == 0
+    sampled = write_json(tmp_path / "f.json", {**base, "exact": False, "shots": 10})
+    assert run_cli("verify", "--config", sampled).returncode in (0, 1)
 
 
 def test_verify_degenerate_metric_is_domain_error(tmp_path):

@@ -1,10 +1,14 @@
 """Tests for the shot-based simulations: determinism, estimators, copy accounting."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metriq import montecarlo
 from metriq.channels import apply, g_eta
 from metriq.dilation import embed
 from metriq.errors import (
@@ -16,6 +20,7 @@ from metriq.hilbert import validate_metric
 from metriq.linalg import trace_norm
 from metriq.montecarlo import (
     SimulationRecord,
+    _attempts_for_successes,
     chained_success_probability,
     simulate_g_eta,
     simulate_pt,
@@ -208,6 +213,96 @@ def test_chained_probability_decomposes_into_step_probabilities():
         assert chained == pytest.approx(
             sys.kappa * np.trace(u @ rho @ u.conj().T).real, abs=1e-14
         )
+
+
+# ---------------------------------------------------------------------------
+# the geometric-gap sampler and its budget
+# ---------------------------------------------------------------------------
+
+def reference_attempts(rng, p, n):
+    """One-shot vectorized draw of the same slots, with an explicit floor."""
+    gaps = np.floor(np.log1p(-rng.uniforms(n)) / np.log1p(-p)).astype(np.int64)
+    return n + int(gaps.sum())
+
+
+class NoDraws:
+    """A stream stand-in that fails the test if any slot is read."""
+
+    def uniforms(self, count, start=0):
+        raise AssertionError("the sampler drew before checking its budget")
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(1e-12, 1.0), n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+def test_sampler_properties(p, n, seed):
+    total = _attempts_for_successes(RngStream(seed=seed), p, n)
+    assert total >= n
+    assert _attempts_for_successes(RngStream(seed=seed), p, n) == total
+    assert _attempts_for_successes(RngStream(seed=seed), 1.0, n) == n
+    # each success owns its slot, so a small block reproduces the one-shot draw
+    with mock.patch.object(montecarlo, "_BLOCK", 7):
+        assert _attempts_for_successes(RngStream(seed=seed), p, n) == total
+    if p < 1.0:
+        assert total == reference_attempts(RngStream(seed=seed), p, n)
+
+
+def test_sampler_across_a_block_boundary():
+    n = montecarlo._BLOCK + 3
+    for p in (0.3, 1e-9):
+        got = _attempts_for_successes(RngStream(seed=5), p, n)
+        assert got == reference_attempts(RngStream(seed=5), p, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(1e-300, 1.0), over=st.integers(0, 10**6))
+def test_sampler_budget_raises_before_any_draw(p, over):
+    with pytest.raises(MetriqError, match="budget"):
+        _attempts_for_successes(NoDraws(), p, montecarlo._MAX_SUCCESSES + 1 + over)
+    # the smallest count whose worst case could overflow int64
+    n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) + over
+    if 1 <= n <= montecarlo._MAX_SUCCESSES:
+        with pytest.raises(MetriqError, match="2\\^63"):
+            _attempts_for_successes(NoDraws(), p, n)
+
+
+class LargestUniform:
+    """A stream stand-in whose every slot holds the largest uniform, 1 - 2^-53."""
+
+    def uniforms(self, count, start=0):
+        return np.full(count, 1.0 - 2.0**-53)
+
+
+def test_sampler_worst_case_inside_the_budget_fits_int64():
+    p = 1e-12
+    worst = math.floor(math.log1p(-(1.0 - 2.0**-53)) / math.log1p(-p))
+    assert worst <= 37.0 / p
+    # the largest count that passes the overflow check, every draw at its maximum
+    n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) - 1
+    total = _attempts_for_successes(LargestUniform(), p, n)
+    assert total == n + n * worst
+    assert total < 2**63
+
+
+def test_sampler_rejects_vanishing_probability():
+    for p in (0.0, -0.5, float("nan")):
+        with pytest.raises(MetriqError):
+            _attempts_for_successes(NoDraws(), p, 10)
+
+
+def test_sampler_mean_total_is_n_over_p():
+    n, p, runs = 50, 0.01, 200
+    totals = [_attempts_for_successes(RngStream(seed=seed), p, n) for seed in range(runs)]
+    # a total is n plus n geometric failure counts of variance (1 - p)/p^2
+    sigma = math.sqrt(n * (1.0 - p) / p**2 / runs)
+    assert abs(np.mean(totals) - n / p) <= 5.0 * sigma
+
+
+def test_near_singular_metric_finishes():
+    eta = validate_metric(np.diag([1.0, 1e-9]))
+    rho = np.diag([0.0, 1.0]).astype(complex)
+    rec = simulate_g_eta(eta, rho, 2000, RngStream(seed=1))
+    sigma = math.sqrt((1.0 - 1e-9) / 2000)
+    assert abs(rec.success_ratio / 1e-9 - 1.0) <= 5.0 * sigma
 
 
 # ---------------------------------------------------------------------------

@@ -179,3 +179,7 @@ def test_pt_params_from_json():
         pt_params_from_json({"r": "x", "s": 2.0, "phi": 0.0, "t": 0.0})
     with pytest.raises(MetriqError):
         pt_params_from_json({"r": 1.0, "s": 10**400, "phi": 0.0, "t": 0.0})
+    for key in ("r", "s", "phi", "t"):
+        fields = {"r": 1.0, "s": 2.0, "phi": 0.0, "t": 0.0, key: True}
+        with pytest.raises(MetriqError, match=f"'{key}'"):
+            pt_params_from_json(fields)

@@ -1,6 +1,7 @@
 """Tests for the verification game: designs, provers, reconstruction, decision."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from metriq.dilation import embed
 from metriq.errors import (
     DegenerateMetricError,
     DimMismatchError,
+    IterationCapWarning,
     MetricExceedsIdentityError,
     MetriqError,
     SingularDesignError,
@@ -262,6 +264,15 @@ def test_dishonest_finite_two_terms_is_count_mixture():
     assert abs(weights.sum() - 1.0) < 1e-10
 
 
+def test_dishonest_finite_never_discarding_uses_exactly_n():
+    rng = RngStream(seed=47)
+    model = dishonest_prover([rng.haar_unitary(2, start=0), np.eye(2)], [0.25, 0.75])
+    responses = run_prover(model, validate_metric(ETA2), default_design(), 400, RngStream(seed=9))
+    for ratio, state in responses:
+        assert ratio == 1.0
+        assert abs(np.trace(state).real - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # run_prover plumbing
 # ---------------------------------------------------------------------------
@@ -434,6 +445,28 @@ def test_norm_rejects_bad_shapes():
         one_to_one_norm(np.zeros((9, 4)))
     with pytest.raises(DimMismatchError):
         one_to_one_norm(np.zeros((8, 8)))
+
+
+def test_norm_warns_at_its_iteration_cap():
+    # two unitary channels whose difference converges slowly from every start
+    rng = RngStream(seed=2)
+    u1, u2 = rng.haar_unitary(3, start=0), rng.haar_unitary(3, start=100)
+    phi = superoperator(kraus_channel([u1])) - superoperator(kraus_channel([u2]))
+    with pytest.warns(IterationCapWarning, match="150-iteration cap.*residual") as caught:
+        value = one_to_one_norm(phi)
+    assert len(caught) == 1
+    # the value at the last iterate is still returned
+    assert 1.99 < value <= 2.0 + 1e-12
+
+
+def test_norm_does_not_warn_on_the_readme_verify_map():
+    eta = validate_metric(ETA2)
+    design = default_design()
+    responses = run_prover(honest_prover(), eta, design, 3000, RngStream(seed=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IterationCapWarning)
+        report = verify(eta, reconstruct(responses, design, shots_per_input=3000))
+    assert report.verdict == "accept"
 
 
 # ---------------------------------------------------------------------------
