@@ -3,25 +3,34 @@
 Exit codes are part of the interface: 0 success (or accept), 1 reject,
 2 domain error, 3 unreadable input or config, 64 usage. Runs are always
 seeded; identical configs produce byte-identical output files.
+
+Configs are JSON, and this module alone decodes them. Every config number
+is a finite JSON number: a string, a boolean, NaN, +-Infinity or an integer
+too large for a float exits 3 with the field named. seed, shots and dim
+must also be integral. A complex matrix is a list of equally long rows
+whose entries are exactly [re, im] pairs, or an object {"dim": n,
+"matrix": rows}. PT parameters are r, s, phi and t; a dishonest prover is
+{"kind": "dishonest", "unitaries": [matrix, ...], "probs": [p, ...]}.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .errors import BrokenPtRegimeError, MetriqError, NegativeParameterError
-from .hilbert import matrix_from_json, validate_metric
+from .errors import MetriqError
+from .hilbert import validate_metric
 from .montecarlo import (
     chained_success_probability,
     simulate_g_eta,
     simulate_pt,
     summary,
 )
-from .ptsym import build_pt_system, pt_params_from_json
+from .ptsym import PtHamiltonian, build_pt_system
 from .rng import RngStream
 from .tomography import (
     default_design,
@@ -71,33 +80,52 @@ def _read_json(path):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _decode_matrix(blob, what):
-    """Accept a bare [[re, im], ...] matrix or a {'dim', 'matrix'} wrapper."""
-    if isinstance(blob, dict):
-        if "dim" not in blob or "matrix" not in blob:
-            raise ConfigError(f"{what}: object form needs 'dim' and 'matrix'")
+def _number(value, what):
+    """A config number: a finite JSON int or float, returned unchanged."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            mat = matrix_from_json(blob["matrix"])
-        except MetriqError as exc:
-            raise ConfigError(f"{what}: {exc}") from None
-        dim = _integer(blob["dim"], f"{what}: 'dim'")
-        if mat.shape != (dim, dim):
-            raise ConfigError(f"{what}: dim {dim} does not match matrix shape {mat.shape}")
-        return mat
-    try:
-        return matrix_from_json(blob)
-    except MetriqError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond float range
+            pass
+    raise ConfigError(f"{what} must be a finite number in float range, got {value!r:.40}")
 
 
 def _integer(value, what):
-    """int(value) for a config number; booleans, fractions and non-finite floats fail."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value) for a config number that is integral."""
+    value = _number(value, what)
+    if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    return int(value)
+
+
+def _matrix(rows, what):
+    """Equally long, nonempty rows of [re, im] pairs to a complex matrix."""
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list) and rows[0]):
+        raise ConfigError(f"{what} must be a nonempty list of rows of [re, im] pairs")
+    mat = np.empty((len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == len(rows[0])):
+            raise ConfigError(f"{what}[{i}] must be a row as long as the first")
+        for j, entry in enumerate(row):
+            field = f"{what}[{i}][{j}]"
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ConfigError(f"{field} must be an [re, im] pair, got {entry!r:.40}")
+            mat[i, j] = complex(_number(entry[0], field), _number(entry[1], field))
+    return mat
+
+
+def _decode_matrix(blob, what):
+    """Accept a bare [[re, im], ...] matrix or a {'dim', 'matrix'} wrapper."""
+    if not isinstance(blob, dict):
+        return _matrix(blob, what)
+    if "dim" not in blob or "matrix" not in blob:
+        raise ConfigError(f"{what}: object form needs 'dim' and 'matrix'")
+    mat = _matrix(blob["matrix"], what)
+    dim = _integer(blob["dim"], f"{what}: 'dim'")
+    if mat.shape != (dim, dim):
+        raise ConfigError(f"{what}: dim {dim} does not match matrix shape {mat.shape}")
+    return mat
 
 
 def _merged_int(flag_value, cfg, key, minimum, maximum=None):
@@ -114,30 +142,25 @@ def _merged_int(flag_value, cfg, key, minimum, maximum=None):
 
 
 def _decode_pt(cfg):
-    try:
-        return pt_params_from_json(cfg)
-    except (BrokenPtRegimeError, NegativeParameterError):
-        # regime violations are domain errors, not config syntax
-        raise
-    except MetriqError as exc:
-        raise ConfigError(str(exc)) from None
+    """(PtHamiltonian, t); its regime errors stay domain errors."""
+    if not {"r", "s", "phi", "t"} <= set(cfg):
+        raise ConfigError("pt config needs 'r', 's', 'phi' and 't'")
+    r, s, phi, t = (float(_number(cfg[key], f"'{key}'")) for key in ("r", "s", "phi", "t"))
+    return PtHamiltonian(r=r, s=s, phi=phi), t
 
 
 def _decode_prover(blob):
     if blob == "honest":
         return honest_prover()
     if isinstance(blob, dict) and blob.get("kind") == "dishonest":
-        if "unitaries" not in blob or "probs" not in blob:
-            raise ConfigError("dishonest prover needs 'unitaries' and 'probs'")
-        mats = []
-        for i, entry in enumerate(blob["unitaries"]):
-            try:
-                mats.append(matrix_from_json(entry))
-            except MetriqError as exc:
-                raise ConfigError(f"unitaries[{i}]: {exc}") from None
+        for key in ("unitaries", "probs"):
+            if not isinstance(blob.get(key), list):
+                raise ConfigError(f"dishonest prover needs a list '{key}'")
+        mats = [_matrix(u, f"unitaries[{i}]") for i, u in enumerate(blob["unitaries"])]
+        probs = [float(_number(p, f"probs[{i}]")) for i, p in enumerate(blob["probs"])]
         try:
-            return dishonest_prover(mats, blob["probs"])
-        except (MetriqError, TypeError, ValueError) as exc:
+            return dishonest_prover(mats, probs)
+        except MetriqError as exc:
             raise ConfigError(str(exc)) from None
     raise ConfigError(
         'prover must be "honest" or {"kind": "dishonest", "unitaries": [...], "probs": [...]}'

@@ -188,14 +188,3 @@ def validate_density(rho, dim: int | None = None, min_trace: float = 0.0) -> np.
         )
     return m
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format: complex entries are [re, im] pairs, matrices row-major.
-# ---------------------------------------------------------------------------
-
-def matrix_from_json(rows) -> np.ndarray:
-    try:
-        data = [[complex(entry[0], entry[1]) for entry in row] for row in rows]
-    except (TypeError, IndexError, KeyError, OverflowError) as exc:
-        raise MetriqError(f"malformed complex-matrix JSON: {exc}") from exc
-    return as_matrix(data)

@@ -140,18 +140,3 @@ def analytic_pt_evolution(sys: PtSystem, rho, t: float) -> tuple[np.ndarray, flo
     weight = float(np.trace(raw).real)
     return raw / weight, sys.kappa * weight
 
-
-def pt_params_from_json(obj) -> tuple[PtHamiltonian, float]:
-    if not isinstance(obj, dict) or not {"r", "s", "phi", "t"} <= set(obj):
-        raise MetriqError("PT parameter JSON needs 'r', 's', 'phi' and 't' fields")
-    values = []
-    for key in ("r", "s", "phi", "t"):
-        value = obj[key]
-        if isinstance(value, bool):
-            raise MetriqError(f"PT parameter '{key}' must be a number, got {value!r}")
-        try:
-            values.append(float(value))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MetriqError(f"PT parameter '{key}' must be a number: {exc}") from exc
-    r, s, phi, t = values
-    return PtHamiltonian(r=r, s=s, phi=phi), t

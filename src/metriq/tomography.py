@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hilbert import MetricOperator, validate_density
 from .linalg import as_matrix, hermitian_eig, trace_norm
-from .montecarlo import _attempts_for_successes, _uniform_blocks, simulate_g_eta
+from .montecarlo import _attempts_for_successes, _require_shot_count, _uniform_blocks, simulate_g_eta
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
@@ -113,8 +113,8 @@ def dishonest_prover(unitaries, probs) -> ProverModel:
         if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
             raise MetriqError("dishonest prover operators must be unitary")
     for p in ps:
-        if p < 0.0:
-            raise MetriqError(f"mixture probability {p:.6g} is negative")
+        if not (math.isfinite(p) and p >= 0.0):
+            raise MetriqError(f"mixture probability {p:.6g} is not a finite nonnegative number")
     total = sum(ps)
     if total <= 1e-12:
         raise MetriqError("mixture probabilities sum to zero; the prover never responds")
@@ -194,6 +194,8 @@ def run_prover(
         raise DimMismatchError(f"the game is played over a qubit metric, got dim {eta.dim}")
     if not eta.subidentity:
         raise MetricExceedsIdentityError(f"metric norm {eta.norm:.12g} > 1")
+    if not exact:
+        n = _require_shot_count(n)
     inputs = [validate_density(s, dim=3) for s in design.input_states]
 
     def one(i):
@@ -432,10 +434,8 @@ def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SE
     d = _superop_dim(lmap)
     if samples < 1:
         raise MetriqError("need at least one sample")
-    basis = _herm_from_coords(np.eye(d * d), d)
-    images = (basis.reshape(d * d, d * d) @ lmap.T).reshape(d * d, d, d)
     # row i holds the coordinates of the Hermitian part of Phi(basis_i)
-    herm_map = _herm_coords((images + images.conj().transpose(0, 2, 1)) / 2.0)
+    herm_map = _herm_coords(_hermitian_image(lmap, _herm_from_coords(np.eye(d * d), d)))
     j, k = np.triu_indices(d, 1)
     rng = RngStream(seed=seed)
     best = 0.0

@@ -1,13 +1,24 @@
 """CLI contract tests: exit codes, output formats, determinism.
 
 All runs go through a subprocess so the exit codes and the exact bytes on
-stdout are the ones a shell pipeline would see.
+stdout are the ones a shell pipeline would see. The config decoders'
+exact values are checked in process.
 """
 
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from metriq.cli import ConfigError, _decode_pt, _matrix
+from metriq.ptsym import PtHamiltonian
 
 ETA2_JSON = [[[0.8, 0.0], [0.0, -0.2]], [[0.0, 0.2], [0.8, 0.0]]]
 IDENTITY_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -62,6 +73,39 @@ def test_metric_validate_parse_failures(tmp_path):
     # parses as JSON but rows are not [re, im] pairs
     schema = write_json(tmp_path / "schema.json", [[1, 2], [3, 4]])
     assert run_cli("metric-validate", schema).returncode == 3
+
+
+def test_matrix_decoder_is_exact():
+    back = _matrix(ETA2_JSON, "metric")
+    assert back.dtype == complex
+    assert np.array_equal(back, np.array([[0.8, -0.2j], [0.2j, 0.8]]))
+
+
+def test_malformed_matrices_are_parse_errors(tmp_path):
+    for i, rows in enumerate((
+        [[[1.0], [0.0, 0.0]]],
+        [[{"re": 1.0, "im": 0.0}]],
+        [[[10**400, 0.0]]],
+        [[["1", 0.0]]],
+        [[[float("nan"), 0.0]]],
+        [1, 2, 3],
+        5,
+        [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[[0.8, 0.0, 9], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+        [],
+    )):
+        proc = run_cli("metric-validate", write_json(tmp_path / f"m{i}.json", rows))
+        assert proc.returncode == 3, rows
+        assert "metric" in proc.stderr
+    # the same decoder reads the state of a g-eta config
+    bad_state = [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    cfg = write_json(
+        tmp_path / "ge.json", {"metric": ETA2_JSON, "state": bad_state, "shots": 10, "seed": 1}
+    )
+    proc = run_cli("simulate", "g-eta", "--config", cfg)
+    assert proc.returncode == 3
+    assert "state[0][0]" in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +213,8 @@ def test_config_numbers_must_be_integers(tmp_path):
         ("seed", 1.5, 3),
         ("shots", True, 3),
         ("seed", False, 3),
+        ("shots", "10", 3),
+        ("seed", "1", 3),
         ("shots", 1e3, 0),
         ("seed", 7.0, 0),
     ]
@@ -183,7 +229,7 @@ def test_config_numbers_must_be_integers(tmp_path):
 
 
 def test_matrix_dim_must_be_an_integer(tmp_path):
-    for dim, code in ((2.9, 3), (float("inf"), 3), (True, 3), ("2", 0), (2.0, 0)):
+    for dim, code in ((2.9, 3), (float("inf"), 3), (True, 3), ("2", 3), (2.0, 0)):
         path = write_json(tmp_path / "m.json", {"dim": dim, "matrix": ETA2_JSON})
         proc = run_cli("metric-validate", path)
         assert proc.returncode == code, dim
@@ -209,6 +255,32 @@ def test_pt_parameters_reject_booleans(tmp_path):
         proc = run_cli("simulate", "pt", "--config", path)
         assert proc.returncode == 3, key
         assert f"'{key}'" in proc.stderr
+
+
+def test_pt_config_decoding(tmp_path):
+    back, t = _decode_pt({"r": 1.0, "s": 2.0, "phi": math.pi / 6, "t": 2.5})
+    assert back == PtHamiltonian(r=1.0, s=2.0, phi=math.pi / 6)
+    assert t == 2.5
+    base = {"r": 1.0, "s": 2.0, "phi": 0.0, "t": 0.0, "shots": 10, "seed": 1}
+    missing = {"r": 1.0, "s": 2.0, "shots": 10, "seed": 1}
+    proc = run_cli("simulate", "pt", "--config", write_json(tmp_path / "missing.json", missing))
+    assert proc.returncode == 3
+    for key, value in (
+        ("r", "x"),
+        ("s", 10**400),
+        ("r", "1"),
+        ("r", float("inf")),
+        ("t", float("inf")),
+        ("phi", float("-inf")),
+        ("s", float("nan")),
+    ):
+        path = write_json(tmp_path / f"{key}.json", {**base, key: value})
+        proc = run_cli("simulate", "pt", "--config", path)
+        assert proc.returncode == 3, (key, value)
+        assert f"'{key}'" in proc.stderr
+    for key in ("r", "s", "phi", "t"):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            _decode_pt({"r": 1.0, "s": 2.0, "phi": 0.0, "t": 0.0, key: True})
 
 
 def test_near_singular_metric_finishes_at_once(tmp_path):
@@ -326,6 +398,19 @@ def test_verify_prover_schema_errors(tmp_path):
         dict(base, prover={"kind": "dishonest", "unitaries": [shear], "probs": [1.0]}),
     )
     assert run_cli("verify", "--config", nonunitary).returncode == 3
+    dishonest = {"kind": "dishonest", "unitaries": [IDENTITY_JSON], "probs": [0.7]}
+    for i, (key, value, field) in enumerate((
+        ("probs", ["0.7"], "probs[0]"),
+        ("probs", [True], "probs[0]"),
+        ("probs", [float("nan")], "probs[0]"),
+        ("probs", 0.7, "'probs'"),
+        ("unitaries", 5, "'unitaries'"),
+        ("unitaries", [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["1", 0.0]]]], "unitaries[0][1][1]"),
+    )):
+        cfg = write_json(tmp_path / f"d{i}.json", dict(base, prover={**dishonest, key: value}))
+        proc = run_cli("verify", "--config", cfg)
+        assert proc.returncode == 3, (key, value)
+        assert field in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +439,30 @@ def test_help_lists_all_flags():
     assert ver.returncode == 0
     for flag in ("--config", "--seed", "--shots", "--out"):
         assert flag in ver.stdout
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_print_what_they_show(tmp_path):
+    # each "$ metriq ..." block runs on the JSON block just above it, written
+    # to the file its --config names, and must print the rest of its block
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.S | re.M)
+    checked = 0
+    for (lang, config), (_, body) in zip(blocks, blocks[1:]):
+        command, _, expected = body.partition("\n")
+        if not command.startswith("$ metriq "):
+            continue
+        assert lang == "json", command
+        argv = shlex.split(command)[2:]
+        name = argv[argv.index("--config") + 1]
+        (tmp_path / name).write_text(config)
+        argv[argv.index("--config") + 1] = str(tmp_path / name)
+        proc = run_cli(*argv)
+        assert proc.stdout == expected, command
+        checked += 1
+    assert checked >= 3

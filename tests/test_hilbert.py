@@ -1,10 +1,13 @@
-"""Tests for metric operators, the eta inner product, lifts and JSON wire forms."""
+"""Tests for metric operators, the eta inner product, lifts and density validation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq.errors import (
     DimMismatchError,
+    InvalidDensityOperatorError,
     MetriqError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -16,8 +19,8 @@ from metriq.hilbert import (
     eta_inner,
     lift,
     lift_eta,
-    matrix_from_json,
     representation_change,
+    validate_density,
     validate_metric,
 )
 from metriq.rng import RngStream
@@ -236,25 +239,42 @@ def test_lift_eta_gate_uses_eta_norm_not_euclidean():
         lift_eta(eta, StateVector([1.2, 0.0]))
 
 
+
 # ---------------------------------------------------------------------------
-# JSON wire format
+# density validation at its tolerances
 # ---------------------------------------------------------------------------
 
-def test_matrix_from_json_is_exact():
-    back = matrix_from_json([[[0.8, 0.0], [0.0, -0.2]], [[0.0, 0.2], [0.8, 0.0]]])
-    assert back.dtype == complex
-    assert np.array_equal(back, ETA2)
+# relative distances from a cutoff, from 1e-4 to 0.5 of it, on either side;
+# roundoff in a trace or an entry of order 1 is about 1e-16, 1e-6 of 1e-10
+_NEAR_CUTOFF = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-4.0, -0.3))
 
 
-def test_json_malformed_inputs():
-    for rows in (
-        [[[1.0], [0.0, 0.0]]],
-        [[{"re": 1.0, "im": 0.0}]],
-        [[[10**400, 0.0]]],
-        [[["1", 0.0]]],
-        [[[float("nan"), 0.0]]],
-        [1, 2, 3],
-        5,
-    ):
-        with pytest.raises(MetriqError):
-            matrix_from_json(rows)
+@settings(max_examples=200, deadline=None)
+@given(_NEAR_CUTOFF)
+def test_validate_density_trace_cutoff(offset):
+    sign, exponent = offset
+    tr = 1.0 + 1e-10 * (1.0 + sign * 10.0**exponent)
+    rho = np.diag([tr, 0.0])
+    if sign > 0:
+        with pytest.raises(InvalidDensityOperatorError, match="trace"):
+            validate_density(rho)
+    else:
+        assert np.array_equal(validate_density(rho), rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 6.0), _NEAR_CUTOFF)
+def test_validate_density_eigenvalue_cutoff(log_top, offset):
+    # the cutoff is -1e-10 * max(1, largest |entry|); the trace gate follows it
+    sign, exponent = offset
+    top = 10.0**log_top
+    low = -1e-10 * max(1.0, top) * (1.0 + sign * 10.0**exponent)
+    rho = np.diag([top, low])
+    if sign > 0:
+        with pytest.raises(InvalidDensityOperatorError, match="negative eigenvalue"):
+            validate_density(rho)
+    elif top + low > 1.0 + 1e-10:
+        with pytest.raises(InvalidDensityOperatorError, match="trace"):
+            validate_density(rho)
+    else:
+        assert np.array_equal(validate_density(rho), rho)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriq.errors import (
     BrokenPtRegimeError,
@@ -16,7 +18,6 @@ from metriq.ptsym import (
     PtHamiltonian,
     analytic_pt_evolution,
     build_pt_system,
-    pt_params_from_json,
     u_pt,
 )
 from metriq.rng import RngStream
@@ -169,17 +170,19 @@ def test_analytic_evolution_rejects_bad_states():
         analytic_pt_evolution(sys, np.eye(3) / 3.0, 1.0)
 
 
-def test_pt_params_from_json():
-    back, t = pt_params_from_json({"r": 1.0, "s": 2.0, "phi": math.pi / 6, "t": 2.5})
-    assert back == REF
-    assert t == 2.5
-    with pytest.raises(MetriqError):
-        pt_params_from_json({"r": 1.0, "s": 2.0})
-    with pytest.raises(MetriqError):
-        pt_params_from_json({"r": "x", "s": 2.0, "phi": 0.0, "t": 0.0})
-    with pytest.raises(MetriqError):
-        pt_params_from_json({"r": 1.0, "s": 10**400, "phi": 0.0, "t": 0.0})
-    for key in ("r", "s", "phi", "t"):
-        fields = {"r": 1.0, "s": 2.0, "phi": 0.0, "t": 0.0, key: True}
-        with pytest.raises(MetriqError, match=f"'{key}'"):
-            pt_params_from_json(fields)
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(1e-3, math.pi - 1e-3), st.floats(-12.0, -2.0))
+def test_build_pt_system_near_the_exceptional_point(log_r, phi, log_gap):
+    # s -> r sin(phi) from above, with relative gaps from 1e-12 to 1e-2
+    r = 10.0**log_r
+    s = r * math.sin(phi) * (1.0 + 10.0**log_gap)
+    try:
+        sys = build_pt_system(PtHamiltonian(r=r, s=s, phi=phi))
+    except MetriqError:
+        return
+    assert math.isfinite(sys.kappa) and 0.0 < sys.kappa <= 1.0
+    for m in (sys.h_matrix, sys.eta2.matrix, sys.eta2_inv.matrix, sys.h_pt_hermitian):
+        assert np.all(np.isfinite(m))
+    eta, h = sys.eta2.matrix, sys.h_matrix
+    assert operator_norm(eta @ h - h.conj().T @ eta) <= 1e-10 * max(1.0, s + r)

@@ -116,6 +116,9 @@ def test_dishonest_prover_rejections():
         dishonest_prover([np.array([[1.0, 0.1], [0.0, 1.0]])], [1.0])
     with pytest.raises(MetriqError):
         dishonest_prover([eye, eye], [0.7, -0.1])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MetriqError, match="finite"):
+            dishonest_prover([eye], [bad])
     with pytest.raises(MetriqError):
         dishonest_prover([eye], [0.0])
     with pytest.raises(MetriqError):
@@ -284,6 +287,15 @@ def test_run_prover_validates_metric():
     big = validate_metric(1.2 * np.eye(2))
     with pytest.raises(MetricExceedsIdentityError):
         run_prover(honest_prover(), big, design, 10, RngStream(seed=0))
+
+
+def test_run_prover_rejects_too_few_shots():
+    eta = validate_metric(ETA2)
+    design = default_design()
+    for model in (honest_prover(), dishonest_prover([np.eye(2)], [0.6])):
+        for n in (0, -1):
+            with pytest.raises(MetriqError, match="successes"):
+                run_prover(model, eta, design, n, RngStream(seed=0))
 
 
 def test_run_prover_thread_count_env(monkeypatch):
