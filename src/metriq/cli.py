@@ -16,6 +16,7 @@ whose entries are exactly [re, im] pairs, or an object {"dim": n,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -185,8 +186,11 @@ def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

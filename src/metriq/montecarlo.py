@@ -10,13 +10,14 @@ Random-number accounting is per success: the success probability p is
 known exactly (for PT, the product of its two independent gates), so
 success j draws its count of discarded copies by inversion from counter
 slot j, floor(log1p(-u_j) / log1p(-p)) (Devroye, Non-Uniform Random
-Variate Generation, 1986, ch. X). The verification game's dishonest prover
-reads a second slot, n + j, for success j's unitary. The work is O(N)
-whatever p is, and totals are identical across reruns and platforms.
+Variate Generation, 1986, ch. X). A response with several branches reads a
+second slot, n + j, for success j's branch. No other module draws. The work
+is O(N) whatever p is, and totals are identical across reruns and platforms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,14 @@ class SimulationRecord:
 
 
 def _require_shot_count(n) -> int:
-    n = int(n)
+    """n as an int: a Python or numpy integer, or an integral finite float such as 1e5."""
+    integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    real = isinstance(n, (float, np.floating)) and math.isfinite(n) and float(n).is_integer()
+    if not (integral or real):
+        raise MetriqError(f"requested successes must be an integer, got {n!r}")
     if n < 1:
-        raise MetriqError(f"requested successes must be >= 1, got {n}")
-    return n
+        raise MetriqError(f"requested successes must be >= 1, got {n!r}")
+    return int(n)
 
 
 def _uniform_blocks(rng: RngStream, count: int, start: int = 0):
@@ -86,6 +91,25 @@ def _attempts_for_successes(rng: RngStream, p: float, n: int) -> int:
     return total
 
 
+def _branch_counts(rng: RngStream, q, n: int) -> np.ndarray:
+    """Successes per branch q_k / sum(q) from slots n + j; one branch reads no slot."""
+    if len(q) == 1:
+        return np.array([n], dtype=np.int64)
+    cond = np.cumsum(q) / float(np.sum(q))
+    counts = np.zeros(len(q), dtype=np.int64)
+    for u in _uniform_blocks(rng, n, start=n):
+        idx = np.minimum(np.searchsorted(cond, u, side="right"), len(q) - 1)
+        counts += np.bincount(idx, minlength=len(q))
+    return counts
+
+
+def _gate(eta: MetricOperator, rho) -> tuple[np.ndarray, float, float]:
+    """(rho's normalized output state, the success probability, ||eta||) of eta's dilation."""
+    eta_tilde, scale = normalize_metric(eta)
+    block, prob = postselect(build_dilation(eta_tilde), embed(rho))
+    return block / prob, prob, scale
+
+
 def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> SimulationRecord:
     """Simulate the dilate-and-postselect realization of the metric channel.
 
@@ -99,15 +123,13 @@ def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> Simulati
             f"metric norm {eta.norm:.12g} > 1 cannot be realized as a channel"
         )
     rho = validate_density(rho, dim=2, min_trace=1e-12)
-    eta_tilde, scale = normalize_metric(eta)
-    dil = build_dilation(eta_tilde)
-    block, prob = postselect(dil, embed(rho))
+    state, prob, scale = _gate(eta, rho)
     total = _attempts_for_successes(rng, min(prob, 1.0), n)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
         success_ratio=scale * n / total,
-        output_state_estimate=embed(block / prob),
+        output_state_estimate=embed(state),
         seed=rng.seed,
     )
 
@@ -123,27 +145,17 @@ def simulate_pt(sys: PtSystem, rho, t: float, n: int, rng: RngStream) -> Simulat
     """
     n = _require_shot_count(n)
     rho = validate_density(rho, dim=2, min_trace=1e-12)
-
-    eta_fwd, scale_fwd = normalize_metric(sys.eta2)
-    dil_fwd = build_dilation(eta_fwd)
-    block2, p2 = postselect(dil_fwd, embed(rho))
-    state2 = block2 / p2
-
+    state2, p2, scale_fwd = _gate(sys.eta2, rho)
     v = matrix_exp_hermitian_generator(sys.h_pt_hermitian, t)
-    state3 = v @ state2 @ v.conj().T
-
-    kappa, _ = g_kappa_eta_inv(sys.eta2)
-    eta_rev_raw = validate_metric(kappa * sys.eta2_inv.matrix)
-    eta_rev, scale_rev = normalize_metric(eta_rev_raw)
-    dil_rev = build_dilation(eta_rev)
-    block4, p4 = postselect(dil_rev, embed(state3))
+    eta_rev = validate_metric(g_kappa_eta_inv(sys.eta2)[0] * sys.eta2_inv.matrix)
+    state4, p4, scale_rev = _gate(eta_rev, v @ state2 @ v.conj().T)
 
     total = _attempts_for_successes(rng, min(p2, 1.0) * min(p4, 1.0), n)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
         success_ratio=scale_fwd * scale_rev * n / total,
-        output_state_estimate=embed(block4 / p4),
+        output_state_estimate=embed(state4),
         seed=rng.seed,
     )
 

@@ -7,7 +7,10 @@ when the reconstruction is within D_th = (lambda_1 - lambda_2)/3 of the
 target channel rho -> (eta^{1/2} + 0) rho (eta^{1/2} + 0) in the induced
 (1->1) norm. An honest prover realizes the target through the dilation
 procedure; the modeled dishonest prover mixes embedded qubit unitaries
-(U + 1) and discards copies, and always lands at least D_th away.
+(U + 1) and discards copies, and always lands at least D_th away. Each
+prover answers an input with branches (per-copy success probability, output
+state): an exact game returns their expectation, the infinite-shot limit of
+a sampled game, whose draws montecarlo makes.
 
 The (1->1) norm of a Hermiticity-preserving map is attained on pure states,
 and for a fixed input the trace norm is linear in the dual observable; the
@@ -19,6 +22,7 @@ floor ||Phi(I/d)||_tr.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -39,7 +43,7 @@ from .errors import (
 )
 from .hilbert import MetricOperator, validate_density
 from .linalg import as_matrix, hermitian_eig, trace_norm
-from .montecarlo import _attempts_for_successes, _require_shot_count, _uniform_blocks, simulate_g_eta
+from .montecarlo import _attempts_for_successes, _branch_counts, _gate, _require_shot_count
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
@@ -129,38 +133,29 @@ def _embed_unitary(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _honest_response(eta, sigma, n, rng, exact):
-    block = sigma[:2, :2]
-    if float(np.trace(block).real) < _ZERO_BLOCK_CUTOFF:
-        # the metric channel annihilates inputs outside the qubit block
-        return 0.0, np.zeros((3, 3), dtype=complex)
+def _response(model, eta, sigma, n, rng, exact):
+    """(ratio, state) on one input; branch j succeeds with probability q_j and returns states[j].
+
+    Exact: (s * sum q, sum_j q_j states[j] / sum q); sampled: (s * n / copies,
+    sum_j counts_j states[j] / n), with s the prover's ratio scale.
+    """
+    if model.kind == "honest":
+        block = sigma[:2, :2]
+        if float(np.trace(block).real) < _ZERO_BLOCK_CUTOFF:
+            # the metric channel annihilates inputs outside the qubit block
+            return 0.0, np.zeros((3, 3), dtype=complex)
+        state, prob, scale = _gate(eta, block)
+        q, states = np.array([prob]), embed(state)[None]
+    else:
+        q, scale = np.array(model.probs), 1
+        states = np.array([w.conj().T @ sigma @ w for w in map(_embed_unitary, model.unitaries)])
+    p = float(q.sum())
     if exact:
-        root = eta.sqrt()
-        y = root @ block @ root
-        ratio = float(np.trace(y).real)
-        return ratio, embed(y / ratio)
-    rec = simulate_g_eta(eta, block, n, rng)
-    return rec.success_ratio, rec.output_state_estimate
-
-
-def _dishonest_response(model, sigma, n, rng, exact):
-    probs = np.array(model.probs)
-    terms = np.array([w.conj().T @ sigma @ w for w in map(_embed_unitary, model.unitaries)])
-    if exact:
-        mix = np.tensordot(probs, terms, axes=1)
-        ratio = float(np.trace(mix).real)
-        return ratio, mix / ratio
-
-    p_respond = float(probs.sum())
-    total = _attempts_for_successes(rng, p_respond, n)
-    # success j picks its unitary from slot n + j, given that the prover responded
-    cond = np.cumsum(probs) / p_respond
-    counts = np.zeros(len(probs), dtype=np.int64)
-    for u in _uniform_blocks(rng, n, start=n):
-        idx = np.minimum(np.searchsorted(cond, u, side="right"), len(probs) - 1)
-        counts += np.bincount(idx, minlength=len(probs))
-    state = np.tensordot(counts / float(n), terms, axes=1)
-    return n / total, state
+        weights, ratio = q / p, scale * p
+    else:
+        weights = _branch_counts(rng, q, n) / float(n)
+        ratio = scale * n / _attempts_for_successes(rng, p, n)
+    return ratio, np.tensordot(weights, states, axes=1)
 
 
 def _worker_count(n_items: int) -> int:
@@ -199,10 +194,7 @@ def run_prover(
     inputs = [validate_density(s, dim=3) for s in design.input_states]
 
     def one(i):
-        sub_rng = rng.derive(i)
-        if model.kind == "honest":
-            return _honest_response(eta, inputs[i], n, sub_rng, exact)
-        return _dishonest_response(model, inputs[i], n, sub_rng, exact)
+        return _response(model, eta, inputs[i], n, rng.derive(i), exact)
 
     workers = _worker_count(len(inputs))
     if workers > 1:
@@ -218,18 +210,31 @@ def run_prover(
 @dataclass(frozen=True, eq=False)
 class ReconstructedChannel:
     linear_map: np.ndarray
-    choi: ChoiMatrix
     shots_per_input: int
+
+    @functools.cached_property
+    def choi(self) -> ChoiMatrix:
+        """Eigenvalue-clipped PSD Choi matrix, computed on first read."""
+        d = _superop_dim(self.linear_map)
+        # reshuffle map indices into Choi indices: C[(i,a),(j,b)] = Phi(E_ij)[a,b]
+        choi_raw = self.linear_map.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        choi_h = (choi_raw + choi_raw.conj().T) / 2.0
+        eig = hermitian_eig(choi_h)
+        if eig.eigenvalues[0] < -1e-8:
+            clipped = np.clip(eig.eigenvalues, 0.0, None)
+            v = eig.eigenvectors
+            choi_h = (v * clipped) @ v.conj().T
+        return ChoiMatrix(matrix=choi_h, dim_in=d, dim_out=d)
 
 
 def reconstruct(responses, design: TomographyDesign, shots_per_input: int = 0) -> ReconstructedChannel:
     """Linear inversion of the prover's responses.
 
     The unnormalized outputs ratio_i * state_i are fitted by least squares
-    to a single linear map on vectorized operators. The Choi matrix is kept
-    in two forms: the raw linear map (used for the distance, where clipping
-    would bias the verdict) and an eigenvalue-clipped PSD Choi for
-    downstream consumers that need complete positivity.
+    to a single linear map on vectorized operators. The raw linear map is
+    what the distance uses, where clipping would bias the verdict; the
+    eigenvalue-clipped PSD Choi matrix, for consumers that need complete
+    positivity, is built only when first read.
     """
     inputs = design.input_states
     if len(responses) != len(inputs):
@@ -243,22 +248,7 @@ def reconstruct(responses, design: TomographyDesign, shots_per_input: int = 0) -
         raise SingularDesignError(
             f"design spans rank {rank} < {a.shape[1]}; cannot invert"
         )
-    linear_map = solution.T
-
-    # reshuffle map indices into Choi indices: C[(i,a),(j,b)] = Phi(E_ij)[a,b]
-    d = design.input_states[0].shape[0]
-    choi_raw = linear_map.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    choi_h = (choi_raw + choi_raw.conj().T) / 2.0
-    eig = hermitian_eig(choi_h)
-    if eig.eigenvalues[0] < -1e-8:
-        clipped = np.clip(eig.eigenvalues, 0.0, None)
-        v = eig.eigenvectors
-        choi_h = (v * clipped) @ v.conj().T
-    return ReconstructedChannel(
-        linear_map=linear_map,
-        choi=ChoiMatrix(matrix=choi_h, dim_in=d, dim_out=d),
-        shots_per_input=int(shots_per_input),
-    )
+    return ReconstructedChannel(linear_map=solution.T, shots_per_input=int(shots_per_input))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metriq import cli
 from metriq.cli import ConfigError, _decode_pt, _matrix
 from metriq.ptsym import PtHamiltonian
 
@@ -413,6 +414,25 @@ def test_verify_prover_schema_errors(tmp_path):
         assert field in proc.stderr
 
 
+def test_unwritable_out_is_a_config_error(tmp_path):
+    verify_cfg = write_json(
+        tmp_path / "v.json",
+        {"metric": ETA2_JSON, "prover": "honest", "shots": 3000, "seed": 3},
+    )
+    sim_cfg = write_json(
+        tmp_path / "ge.json",
+        {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 10, "seed": 1},
+    )
+    for argv in (["verify", "--config", verify_cfg], ["simulate", "g-eta", "--config", sim_cfg]):
+        # a missing directory, and a path that is a directory
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            proc = run_cli(*argv, "--out", str(out))
+            assert proc.returncode == 3, (argv, out)
+            assert proc.stdout == ""
+            assert f"cannot write {out}" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # usage
 # ---------------------------------------------------------------------------
@@ -439,6 +459,25 @@ def test_help_lists_all_flags():
     assert ver.returncode == 0
     for flag in ("--config", "--seed", "--shots", "--out"):
         assert flag in ver.stdout
+
+
+def test_one_parser_serves_every_request_in_a_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same help layout in and out of process
+    cfg = write_json(
+        tmp_path / "ge.json",
+        {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 10, "seed": 1},
+    )
+    requests = (
+        ["simulate", "g-eta", "--config", cfg, "--bogus"],
+        ["simulate", "g-eta", "--config", cfg],
+        ["--help"],
+    )
+    fresh = [run_cli(*argv) for argv in requests]
+    for _ in range(2):
+        for argv, want in zip(requests, fresh):
+            rc = cli.main(argv)
+            assert (rc, capsys.readouterr().out) == (want.returncode, want.stdout), argv
+    assert cli._parser() is cli._parser()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the shot-based simulations: determinism, estimators, copy accounting."""
 
+import ast
 import math
+import pathlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -31,6 +34,8 @@ from metriq.rng import RngStream
 
 ETA2 = validate_metric(np.array([[0.8, -0.2j], [0.2j, 0.8]]))
 RHO0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+# not shot counts: each must raise a MetriqError that names it
+BAD_SHOT_COUNTS = (2.7, True, np.bool_(True), "10", float("nan"), float("inf"), None)
 
 
 def reference_system():
@@ -109,6 +114,12 @@ def test_g_eta_input_validation():
         simulate_g_eta(ETA2, np.zeros((2, 2)), 10, RngStream(seed=1))
     with pytest.raises(MetriqError):
         simulate_g_eta(ETA2, RHO0, 0, RngStream(seed=1))
+    for bad in BAD_SHOT_COUNTS:
+        with pytest.raises(MetriqError, match=re.escape(repr(bad))):
+            simulate_g_eta(ETA2, RHO0, bad, RngStream(seed=1))
+    for good in (np.int64(10), 10.0, np.float32(1e1)):
+        rec = simulate_g_eta(ETA2, RHO0, good, RngStream(seed=1))
+        assert type(rec.requested_successes) is int and rec.requested_successes == 10
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +181,11 @@ def test_pt_input_validation():
         simulate_pt(sys, np.diag([0.5, 0.5, 0.0]), 1.0, 10, RngStream(seed=1))
     with pytest.raises(MetriqError):
         simulate_pt(sys, RHO0, 1.0, -5, RngStream(seed=1))
+    for bad in BAD_SHOT_COUNTS:
+        with pytest.raises(MetriqError, match=re.escape(repr(bad))):
+            simulate_pt(sys, RHO0, 1.0, bad, RngStream(seed=1))
+    rec = simulate_pt(sys, RHO0, 1.0, 1e5, RngStream(seed=1))
+    assert type(rec.requested_successes) is int and rec.requested_successes == 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +245,7 @@ class NoDraws:
     """A stream stand-in that fails the test if any slot is read."""
 
     def uniforms(self, count, start=0):
-        raise AssertionError("the sampler drew before checking its budget")
+        raise AssertionError("a slot was read")
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,6 +311,47 @@ def test_sampler_mean_total_is_n_over_p():
     # a total is n plus n geometric failure counts of variance (1 - p)/p^2
     sigma = math.sqrt(n * (1.0 - p) / p**2 / runs)
     assert abs(np.mean(totals) - n / p) <= 5.0 * sigma
+
+
+def reference_branch_counts(rng, q, n):
+    """One-shot searchsorted draw of slots n .. 2n - 1."""
+    cond = np.cumsum(q) / np.sum(q)
+    idx = np.minimum(np.searchsorted(cond, rng.uniforms(n, start=n), side="right"), len(q) - 1)
+    return np.bincount(idx, minlength=len(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4), n=st.integers(1, 300),
+       seed=st.integers(0, 2**64 - 1))
+def test_branch_counts_properties(q, n, seed):
+    if len(q) == 1:
+        # a single branch takes every success and reads no slot
+        assert montecarlo._branch_counts(NoDraws(), q, n).tolist() == [n]
+        return
+    counts = montecarlo._branch_counts(RngStream(seed=seed), q, n)
+    assert counts.sum() == n
+    assert np.array_equal(counts, reference_branch_counts(RngStream(seed=seed), q, n))
+    with mock.patch.object(montecarlo, "_BLOCK", 7):
+        assert np.array_equal(montecarlo._branch_counts(RngStream(seed=seed), q, n), counts)
+
+
+def test_branch_counts_across_a_block_boundary():
+    n = montecarlo._BLOCK + 3
+    q = [0.1, 0.25, 0.05]
+    counts = montecarlo._branch_counts(RngStream(seed=6), q, n)
+    assert counts.sum() == n
+    assert np.array_equal(counts, reference_branch_counts(RngStream(seed=6), q, n))
+
+
+def test_only_rng_and_montecarlo_draw_uniforms():
+    """Successes are drawn in one place: no other module reads uniforms."""
+    drawers = set()
+    for path in pathlib.Path(montecarlo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name in ("uniforms", "_uniform_blocks"):
+                drawers.add(path.stem)
+    assert drawers == {"rng", "montecarlo"}
 
 
 def test_near_singular_metric_finishes():

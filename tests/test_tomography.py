@@ -1,6 +1,7 @@
 """Tests for the verification game: designs, provers, reconstruction, decision."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriq.channels import kraus_channel, superoperator
-from metriq.dilation import embed
+from metriq.dilation import build_dilation, embed, normalize_metric, postselect
 from metriq.errors import (
     DegenerateMetricError,
     DimMismatchError,
@@ -277,6 +278,49 @@ def test_dishonest_finite_never_discarding_uses_exactly_n():
 
 
 # ---------------------------------------------------------------------------
+# one response path
+# ---------------------------------------------------------------------------
+
+def test_exact_response_is_the_branch_expectation():
+    """s * sum q and sum q_j rho_j / sum q, branches built outside the module."""
+    eta = validate_metric(ETA2)
+    design = default_design()
+    eta_tilde, norm = normalize_metric(eta)
+    dil = build_dilation(eta_tilde)
+    rng = RngStream(seed=53)
+    mats = [rng.haar_unitary(2, start=0), rng.haar_unitary(2, start=50), np.eye(2)]
+    probs = [0.2, 0.35, 0.1]
+    models = (honest_prover(), dishonest_prover(mats, probs))
+    for model in models:
+        responses = run_prover(model, eta, design, 0, RngStream(seed=0), exact=True)
+        for sigma, (ratio, state) in zip(design.input_states, responses):
+            if model.kind == "honest":
+                if np.trace(sigma[:2, :2]).real == 0.0:
+                    continue
+                block, prob = postselect(dil, embed(sigma[:2, :2]))
+                q, states, scale = [prob], [embed(block / prob)], norm
+            else:
+                ws = [np.eye(3, dtype=complex) for _ in mats]
+                for w, u in zip(ws, mats):
+                    w[:2, :2] = u
+                q, states, scale = probs, [w.conj().T @ sigma @ w for w in ws], 1.0
+            assert abs(ratio - scale * sum(q)) < 1e-15
+            expect = sum(qj * rj for qj, rj in zip(q, states)) / sum(q)
+            assert np.max(np.abs(state - expect)) < 1e-15
+
+
+def test_one_branch_sampled_state_is_the_exact_state():
+    eta = make_metric(61)
+    design = default_design()
+    rng = RngStream(seed=62)
+    for model in (honest_prover(), dishonest_prover([rng.haar_unitary(2)], [0.4])):
+        exact = run_prover(model, eta, design, 0, RngStream(seed=0), exact=True)
+        sampled = run_prover(model, eta, design, 300, RngStream(seed=7))
+        for (_, s_exact), (_, s_sampled) in zip(exact, sampled):
+            assert np.array_equal(s_exact, s_sampled)
+
+
+# ---------------------------------------------------------------------------
 # run_prover plumbing
 # ---------------------------------------------------------------------------
 
@@ -296,6 +340,13 @@ def test_run_prover_rejects_too_few_shots():
         for n in (0, -1):
             with pytest.raises(MetriqError, match="successes"):
                 run_prover(model, eta, design, n, RngStream(seed=0))
+        for bad in (2.7, True, "10", float("nan"), float("inf")):
+            with pytest.raises(MetriqError, match=re.escape(repr(bad))):
+                run_prover(model, eta, design, bad, RngStream(seed=0))
+        # an integral float plays the same game as the integer
+        by_float = run_prover(model, eta, design, 1e3, RngStream(seed=0))
+        by_int = run_prover(model, eta, design, np.int64(1000), RngStream(seed=0))
+        assert [r for r, _ in by_float] == [r for r, _ in by_int]
 
 
 def test_run_prover_thread_count_env(monkeypatch):
@@ -362,6 +413,14 @@ def test_reconstruct_choi_of_honest_target():
     eig = hermitian_eig(choi)
     assert eig.eigenvalues[0] > -1e-12
     assert sum(1 for lam in eig.eigenvalues if lam > 1e-10) == 1
+
+
+def test_reconstruct_builds_choi_on_first_read():
+    eta = validate_metric(ETA2)
+    design = default_design()
+    recon = reconstruct(run_prover(honest_prover(), eta, design, 0, RngStream(seed=0), exact=True), design)
+    assert "choi" not in vars(recon)
+    assert recon.choi is recon.choi
 
 
 def test_reconstruct_response_count_mismatch():
@@ -659,14 +718,8 @@ def test_verify_finite_honest_accepts():
 
 
 def test_verify_shape_mismatch():
-    from metriq.channels import ChoiMatrix
-
     eta = validate_metric(ETA2)
-    bad = ReconstructedChannel(
-        linear_map=np.eye(4),
-        choi=ChoiMatrix(matrix=np.eye(4), dim_in=2, dim_out=2),
-        shots_per_input=0,
-    )
+    bad = ReconstructedChannel(linear_map=np.eye(4), shots_per_input=0)
     with pytest.raises(DimMismatchError):
         verify(eta, bad)
 
