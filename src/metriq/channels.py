@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimMismatchError, MetricExceedsIdentityError, MetriqError
 from .dilation import normalize_metric
 from .hilbert import MetricOperator
-from .linalg import as_matrix, hermitian_eig
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,13 +146,15 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
     return out
 
 
+def _choi_reshuffle(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """C[(i,a),(j,b)] = S[(a,b),(i,j)]: the Choi matrix of a row-major-vec superoperator S."""
+    s = superop.reshape(dim_out, dim_out, dim_in, dim_in)
+    return s.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, -1)
+
+
 def choi(ch: KrausChannel) -> ChoiMatrix:
-    """C = sum_ij |i><j| (x) Phi(|i><j|) = sum_k v_k v_k^dagger, v_k = vec_col(K_k)."""
-    size = ch.dim_in * ch.dim_out
-    c = np.zeros((size, size), dtype=complex)
-    for k in ch.kraus_ops:
-        v = np.ravel(k, order="F")
-        c += np.outer(v, v.conj())
+    """C = sum_ij |i><j| (x) Phi(|i><j|), reshuffled from the superoperator."""
+    c = _choi_reshuffle(superoperator(ch), ch.dim_in, ch.dim_out)
     return ChoiMatrix(matrix=c, dim_in=ch.dim_in, dim_out=ch.dim_out)
 
 
@@ -161,5 +163,4 @@ def is_trace_nonincreasing(ch: KrausChannel) -> bool:
     s = np.zeros((ch.dim_in, ch.dim_in), dtype=complex)
     for k in ch.kraus_ops:
         s += k.conj().T @ k
-    gap = hermitian_eig(np.eye(ch.dim_in) - s)
-    return bool(gap.eigenvalues[0] >= -1e-10)
+    return bool(np.linalg.eigvalsh(np.eye(ch.dim_in) - s)[0] >= -1e-10)

@@ -101,8 +101,11 @@ def postselect(dil: DilationUnitary, sigma) -> tuple[np.ndarray, float]:
     Returns the unnormalized block (equal to eta^{1/2} rho eta^{1/2} when
     sigma = rho + 0) and its trace, the postselection probability.
     """
-    s = validate_density(sigma, dim=3)
+    return _project(dil, validate_density(sigma, dim=3))
+
+
+def _project(dil: DilationUnitary, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """postselect on a qutrit state its caller has already validated."""
     u = dil.matrix
-    rotated = u @ s @ u.conj().T
-    block = rotated[:2, :2]
+    block = (u @ sigma @ u.conj().T)[:2, :2]
     return block, float(np.trace(block).real)

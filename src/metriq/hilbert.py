@@ -48,18 +48,14 @@ class MetricOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _functional(self, f) -> np.ndarray:
-        v = self.eig.eigenvectors
-        return (v * f(self.eig.eigenvalues)) @ v.conj().T
-
     def sqrt(self) -> np.ndarray:
-        return self._functional(np.sqrt)
+        return self.eig.map(np.sqrt)
 
     def inv_sqrt(self) -> np.ndarray:
-        return self._functional(lambda lam: 1.0 / np.sqrt(lam))
+        return self.eig.map(lambda lam: 1.0 / np.sqrt(lam))
 
     def inv(self) -> np.ndarray:
-        return self._functional(lambda lam: 1.0 / lam)
+        return self.eig.map(lambda lam: 1.0 / lam)
 
 
 class StateVector:
@@ -174,11 +170,9 @@ def validate_density(rho, dim: int | None = None, min_trace: float = 0.0) -> np.
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
         raise InvalidDensityOperatorError("density operator is not Hermitian")
-    eig = hermitian_eig((m + m.conj().T) / 2.0)
-    if eig.eigenvalues[0] < -1e-10 * scale:
-        raise InvalidDensityOperatorError(
-            f"density operator has negative eigenvalue {eig.eigenvalues[0]:.3e}"
-        )
+    low = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+    if low < -1e-10 * scale:
+        raise InvalidDensityOperatorError(f"density operator has negative eigenvalue {low:.3e}")
     tr = float(np.trace(m).real)
     if tr > 1.0 + 1e-10:
         raise InvalidDensityOperatorError(f"density operator trace {tr:.12g} exceeds 1")

@@ -6,11 +6,13 @@ the package goes through LAPACK (numpy's eigh and SVD); results are
 deterministic on one machine and agree across platforms to roundoff, not bit
 for bit. hermitian_eig fixes the conventions LAPACK leaves open: eigenvalues
 come out ascending and every eigenvector is rescaled so its first component
-above 1e-12 in magnitude is real and positive.
+above 1e-12 in magnitude is real and positive. HermitianEigensystem.map forms
+every spectral function V f(Lambda) V^dagger in the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +49,18 @@ class HermitianEigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def map(self, f) -> np.ndarray:
+        """V f(Lambda) V^dagger; f maps the eigenvalue array elementwise."""
+        v = self.eigenvectors
+        return (v * f(self.eigenvalues)) @ v.conj().T
+
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
-        if idx.size:
-            pivot = col[idx[0]]
-            out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    if vectors.size == 0:
+        return vectors.copy()
+    pivot = vectors[np.argmax(np.abs(vectors) > _PHASE_FLOOR, axis=0), np.arange(vectors.shape[1])]
+    # np.hypot rounds as the scalar abs() does; np.abs of a complex array need not
+    return vectors * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def hermitian_eig(matrix) -> HermitianEigensystem:
@@ -98,9 +102,7 @@ def psd_sqrt(matrix) -> np.ndarray:
     eig = hermitian_eig(matrix)
     if eig.eigenvalues.size and eig.eigenvalues[0] < -1e-10:
         raise NotPsdError(f"minimum eigenvalue {eig.eigenvalues[0]:.3e} is negative")
-    roots = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    v = eig.eigenvectors
-    out = (v * roots) @ v.conj().T
+    out = eig.map(lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
     return (out + out.conj().T) / 2.0
 
 
@@ -111,7 +113,7 @@ def kron(a, b) -> np.ndarray:
 
 def matrix_exp_hermitian_generator(h, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H, via the spectral decomposition."""
-    eig = hermitian_eig(h)
-    phases = np.exp(-1j * eig.eigenvalues * float(t))
-    v = eig.eigenvectors
-    return (v * phases) @ v.conj().T
+    t = float(t)
+    if not math.isfinite(t):
+        raise MetriqError("time must be finite")
+    return hermitian_eig(h).map(lambda lam: np.exp(-1j * lam * t))

@@ -2,8 +2,9 @@
 
 Both procedures run the actual dilation machinery once to obtain the exact
 per-copy success probabilities and the (deterministic) post-measurement
-state, then spend random numbers only on the accept/reject coin flips. The
-success ratio ||eta|| * N / total_copies_used is the procedure's estimator
+state, then spend random numbers only on each success's count of discarded
+copies and, for a response with several branches, on each success's branch.
+The success ratio ||eta|| * N / total_copies_used is the procedure's estimator
 of the channel's trace; the returned state carries no sampling error.
 
 Random-number accounting is per success: the success probability p is
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import g_kappa_eta_inv
-from .dilation import build_dilation, embed, normalize_metric, postselect
+from .dilation import _project, build_dilation, embed, normalize_metric
 from .errors import MetricExceedsIdentityError, MetriqError
 from .hilbert import MetricOperator, validate_density, validate_metric
 from .linalg import matrix_exp_hermitian_generator
@@ -49,14 +50,14 @@ class SimulationRecord:
     seed: int
 
 
-def _require_shot_count(n) -> int:
+def _require_shot_count(n, what: str = "requested successes") -> int:
     """n as an int: a Python or numpy integer, or an integral finite float such as 1e5."""
     integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
     real = isinstance(n, (float, np.floating)) and math.isfinite(n) and float(n).is_integer()
     if not (integral or real):
-        raise MetriqError(f"requested successes must be an integer, got {n!r}")
+        raise MetriqError(f"{what} must be an integer, got {n!r}")
     if n < 1:
-        raise MetriqError(f"requested successes must be >= 1, got {n!r}")
+        raise MetriqError(f"{what} must be >= 1, got {n!r}")
     return int(n)
 
 
@@ -106,7 +107,7 @@ def _branch_counts(rng: RngStream, q, n: int) -> np.ndarray:
 def _gate(eta: MetricOperator, rho) -> tuple[np.ndarray, float, float]:
     """(rho's normalized output state, the success probability, ||eta||) of eta's dilation."""
     eta_tilde, scale = normalize_metric(eta)
-    block, prob = postselect(build_dilation(eta_tilde), embed(rho))
+    block, prob = _project(build_dilation(eta_tilde), embed(rho))
     return block / prob, prob, scale
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, kraus_channel, superoperator
+from .channels import ChoiMatrix, KrausChannel, _choi_reshuffle, kraus_channel, superoperator
 from .dilation import embed
 from .errors import (
     DegenerateMetricError,
@@ -182,8 +182,9 @@ def run_prover(
     """Collect (success_ratio, returned_state) for every design input.
 
     Each input gets its own derived random stream, so results do not depend
-    on execution order; METRIQ_THREADS > 1 fans the inputs out over a
-    thread pool.
+    on execution order. The inputs fan out over a thread pool of
+    METRIQ_THREADS workers; unset or 0 means the CPU count, and 1 runs them
+    in order on the calling thread.
     """
     if eta.dim != 2:
         raise DimMismatchError(f"the game is played over a qubit metric, got dim {eta.dim}")
@@ -216,14 +217,11 @@ class ReconstructedChannel:
     def choi(self) -> ChoiMatrix:
         """Eigenvalue-clipped PSD Choi matrix, computed on first read."""
         d = _superop_dim(self.linear_map)
-        # reshuffle map indices into Choi indices: C[(i,a),(j,b)] = Phi(E_ij)[a,b]
-        choi_raw = self.linear_map.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        choi_raw = _choi_reshuffle(self.linear_map, d, d)
         choi_h = (choi_raw + choi_raw.conj().T) / 2.0
         eig = hermitian_eig(choi_h)
         if eig.eigenvalues[0] < -1e-8:
-            clipped = np.clip(eig.eigenvalues, 0.0, None)
-            v = eig.eigenvectors
-            choi_h = (v * clipped) @ v.conj().T
+            choi_h = eig.map(lambda lam: np.clip(lam, 0.0, None))
         return ChoiMatrix(matrix=choi_h, dim_in=d, dim_out=d)
 
 
@@ -422,8 +420,7 @@ def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SE
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
-    if samples < 1:
-        raise MetriqError("need at least one sample")
+    samples = _require_shot_count(samples, "samples")
     # row i holds the coordinates of the Hermitian part of Phi(basis_i)
     herm_map = _herm_coords(_hermitian_image(lmap, _herm_from_coords(np.eye(d * d), d)))
     j, k = np.triu_indices(d, 1)

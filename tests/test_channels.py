@@ -222,3 +222,21 @@ def test_choi_reconstructs_channel_action():
         rho = random_density(rng, 2, start=10 * i)
         rebuilt = np.einsum("ij,iajb->ab", rho, c4)
         assert np.max(np.abs(rebuilt - apply(ch, rho))) <= 1e-13
+
+
+def test_choi_equals_the_vec_outer_product_sum():
+    # the parent's construction, sum_k vec_col(K) vec_col(K)^dagger, bit for bit
+    rng = RngStream(seed=53)
+    for dim_in, dim_out in ((2, 3), (3, 2), (3, 3)):
+        for count in (1, 2, 3, 4):
+            start = 1000 * (10 * dim_in + dim_out) + 100 * count
+            g = rng.normals(2 * count * dim_in * dim_out, start=start).view(complex)
+            ch = kraus_channel(list(g.reshape(count, dim_out, dim_in)))
+            size = dim_in * dim_out
+            want = np.zeros((size, size), dtype=complex)
+            for k in ch.kraus_ops:
+                v = np.ravel(k, order="F")
+                want += np.outer(v, v.conj())
+            c = choi(ch)
+            assert np.array_equal(c.matrix, want)
+            assert (c.dim_in, c.dim_out) == (dim_in, dim_out)

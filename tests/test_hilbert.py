@@ -77,6 +77,19 @@ def test_metric_functional_calculus():
     assert np.max(np.abs(eta.inv_sqrt() @ root - np.eye(2))) <= 1e-12
 
 
+def test_metric_functions_equal_the_inline_spectral_form():
+    # the parent's (v * f(lam)) @ v^dagger, bit for bit, on random and degenerate metrics
+    rng = RngStream(seed=37)
+    mats = [random_metric(rng.derive(k), dim) for k in range(20) for dim in (2, 3)]
+    mats += [ETA2, np.eye(2), 0.5 * np.eye(3), np.diag([1.0, 1.0, 0.3])]
+    for m in mats:
+        eta = validate_metric(m)
+        v, lam = eta.eig.eigenvectors, eta.eig.eigenvalues
+        assert np.array_equal(eta.sqrt(), (v * np.sqrt(lam)) @ v.conj().T)
+        assert np.array_equal(eta.inv_sqrt(), (v * (1.0 / np.sqrt(lam))) @ v.conj().T)
+        assert np.array_equal(eta.inv(), (v * (1.0 / lam)) @ v.conj().T)
+
+
 def test_state_vector_copies_and_freezes():
     raw = np.array([1.0, 0.0], dtype=complex)
     psi = StateVector(raw)

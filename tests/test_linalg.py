@@ -3,6 +3,7 @@ import pytest
 
 from metriq.errors import MetriqError, NotHermitianError, NotPsdError, NotSquareError
 from metriq.linalg import (
+    _fix_phases,
     hermitian_eig,
     kron,
     matrix_exp_hermitian_generator,
@@ -173,3 +174,57 @@ def test_matrix_exp_inverse_property():
         assert operator_norm(u @ w - np.eye(3)) < 1e-10
     with pytest.raises(NotHermitianError):
         matrix_exp_hermitian_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def test_matrix_exp_rejects_non_finite_time():
+    for t in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        with pytest.raises(MetriqError, match="time must be finite"):
+            matrix_exp_hermitian_generator(ETA2, t)
+
+
+# ---------------------------------------------------------------------------
+# one spectral path: each result equals the inline form it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def spectral_inputs(rng):
+    """Seeded random Hermitian matrices plus degenerate and rank-deficient ones."""
+    mats = [random_hermitian(rng, n) for n in (1, 2, 3, 5, 9) for _ in range(20)]
+    for n in (2, 3, 9):
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        for lam in (np.ones(n), np.round(rng.normal(size=n)), np.r_[np.zeros(n - 1), 2.0]):
+            mats.append(q @ np.diag(lam) @ q.conj().T)
+            mats.append(np.diag(lam).astype(complex))
+    return [(m + m.conj().T) / 2 for m in mats]
+
+
+def old_fix_phases(vectors):
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        if idx.size:
+            pivot = col[idx[0]]
+            out[:, k] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+def test_vectorized_phase_fix_equals_the_column_loop():
+    for m in spectral_inputs(np.random.default_rng(41)):
+        vectors = np.linalg.eigh(m)[1]
+        assert np.array_equal(_fix_phases(vectors), old_fix_phases(vectors))
+    empty = hermitian_eig(np.zeros((0, 0)))
+    assert empty.eigenvalues.shape == (0,) and empty.eigenvectors.shape == (0, 0)
+    assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_matrix_functions_equal_the_inline_spectral_form():
+    for m in spectral_inputs(np.random.default_rng(43)):
+        for a in (m, m @ m):  # psd_sqrt clips m's negative eigenvalues above -1e-10 only
+            eig = hermitian_eig(a)
+            v, lam = eig.eigenvectors, eig.eigenvalues
+            if lam.size and lam[0] >= -1e-10:
+                root = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+                assert np.array_equal(psd_sqrt(a), (root + root.conj().T) / 2.0)
+            for t in (0.0, 0.83, -2.5):
+                phases = np.exp(-1j * lam * float(t))
+                assert np.array_equal(matrix_exp_hermitian_generator(a, t), (v * phases) @ v.conj().T)

@@ -186,6 +186,31 @@ def test_pt_input_validation():
             simulate_pt(sys, RHO0, 1.0, bad, RngStream(seed=1))
     rec = simulate_pt(sys, RHO0, 1.0, 1e5, RngStream(seed=1))
     assert type(rec.requested_successes) is int and rec.requested_successes == 100_000
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(MetriqError, match="time must be finite"):
+            simulate_pt(sys, RHO0, t, 10, RngStream(seed=1))
+
+
+def test_gate_checks_no_state_twice():
+    # callers validate their states once; the dilation gate must not check them again
+    from metriq import dilation
+    from metriq.tomography import default_design, honest_prover, run_prover
+
+    validate = dilation.validate_density
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    with mock.patch.object(dilation, "validate_density", counted):
+        simulate_g_eta(ETA2, RHO0, 100, RngStream(seed=1))
+        simulate_pt(reference_system(), RHO0, 1.0, 100, RngStream(seed=1))
+        for exact in (True, False):
+            run_prover(honest_prover(), ETA2, default_design(), 100, RngStream(seed=1), exact=exact)
+        assert calls == []
+        dilation.postselect(dilation.build_dilation(dilation.normalize_metric(ETA2)[0]), embed(RHO0))
+        assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,24 @@ def test_reconstruct_clips_choi_but_keeps_raw_map():
     assert hermitian_eig((raw + raw.conj().T) / 2).eigenvalues[0] < -0.9
 
 
+def test_clipped_choi_equals_the_inline_spectral_form():
+    # the parent's reshuffle and (v * clip(lam)) @ v^dagger, bit for bit
+    rng = RngStream(seed=59)
+    maps = [rng.normals(162, start=200 * k).view(complex).reshape(9, 9) for k in range(20)]
+    design = default_design()
+    transpose = reconstruct([(1.0, s.T.copy()) for s in design.input_states], design).linear_map
+    target = superoperator(embedded_metric_channel(validate_metric(ETA2)))
+    maps += [-np.eye(9), transpose, target]  # degenerate spectra; the target needs no clip
+    for lmap in maps:
+        raw = lmap.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
+        want = (raw + raw.conj().T) / 2.0
+        eig = hermitian_eig(want)
+        if eig.eigenvalues[0] < -1e-8:
+            v = eig.eigenvectors
+            want = (v * np.clip(eig.eigenvalues, 0.0, None)) @ v.conj().T
+        assert np.array_equal(ReconstructedChannel(linear_map=lmap, shots_per_input=0).choi.matrix, want)
+
+
 # ---------------------------------------------------------------------------
 # the (1->1) norm
 # ---------------------------------------------------------------------------
@@ -642,8 +660,14 @@ def test_sampled_oracle_across_chunk_boundary():
 
 
 def test_sampled_oracle_rejects_zero_samples():
-    with pytest.raises(MetriqError):
-        sampled_one_to_one(np.eye(9), samples=0)
+    # the library's one count rule: an integer, or an integral finite float, >= 1
+    for bad in (0, -3, float("nan"), float("inf"), True, np.bool_(True), 1000.5, "10", None):
+        with pytest.raises(MetriqError, match=f"samples must be .*{re.escape(repr(bad))}"):
+            sampled_one_to_one(np.eye(9), samples=bad)
+    phi = superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9)
+    best = sampled_one_to_one(phi, samples=10_000)
+    assert sampled_one_to_one(phi, samples=1e4) == best
+    assert sampled_one_to_one(phi, samples=np.int64(10_000)) == best
 
 
 # ---------------------------------------------------------------------------
