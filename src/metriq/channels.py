@@ -42,6 +42,8 @@ class KrausChannel:
 
     def __post_init__(self):
         ops = tuple(as_matrix(k) for k in self.kraus_ops)
+        if min(self.dim_out, self.dim_in) < 1:
+            raise DimMismatchError(f"Kraus operator shape ({self.dim_out}, {self.dim_in}) is empty")
         for k in ops:
             if k.shape != (self.dim_out, self.dim_in):
                 raise DimMismatchError(

@@ -91,6 +91,8 @@ def validate_metric(matrix) -> MetricOperator:
     metric is rejected up front.
     """
     m = as_matrix(matrix)
+    if m.size == 0:
+        raise NotPositiveDefiniteError(f"metric is empty, shape {m.shape}")
     eig = hermitian_eig(m)
     if eig.eigenvalues[0] <= _PD_CUTOFF:
         raise NotPositiveDefiniteError(
@@ -165,6 +167,8 @@ def validate_density(rho, dim: int | None = None, min_trace: float = 0.0) -> np.
     m = as_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise InvalidDensityOperatorError(f"density operator must be square, got {m.shape}")
+    if m.size == 0:
+        raise InvalidDensityOperatorError(f"density operator is empty, shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise InvalidDensityOperatorError(f"density operator dim {m.shape[0]} != expected {dim}")
     scale = max(1.0, float(np.max(np.abs(m))))

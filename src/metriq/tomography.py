@@ -276,10 +276,13 @@ def one_to_one_norm(superop) -> float:
     picks the optimal trace-norm observable S = sign(Phi(psi psi*)) and then
     the best state for S, which is the top eigenvector of the pulled-back
     observable; the objective is nondecreasing, and iteration stops when
-    every start is first-order stationary within 1e-8. The returned value is
-    floored at ||Phi(I/d)||_tr, which the maximum always dominates. Reaching
-    the 150-iteration cap first keeps the objective at the last iterate and
-    issues an IterationCapWarning naming the largest stationarity residual.
+    the start with the largest objective is first-order stationary within
+    1e-8, whether or not the others are. The returned value is the largest
+    objective over all starts at the last iterate, floored at
+    ||Phi(I/d)||_tr, which the maximum always dominates. Reaching the
+    150-iteration cap first keeps the objective at the last iterate and
+    issues an IterationCapWarning naming the best start's stationarity
+    residual, so the warning means that start itself did not converge.
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
@@ -297,8 +300,8 @@ def one_to_one_norm(superop) -> float:
             # iteration cap: only the objective at the last iterate is left
             lam = np.linalg.eigvalsh(a)
             warnings.warn(
-                f"one_to_one_norm hit its {it}-iteration cap; largest stationarity residual "
-                f"{np.max(resid):.3g} > {_NORM_TOL:g}", IterationCapWarning, stacklevel=2)
+                f"one_to_one_norm hit its {it}-iteration cap; best start's stationarity residual "
+                f"{resid[best]:.3g} > {_NORM_TOL:g}", IterationCapWarning, stacklevel=2)
             break
         lam, vec = np.linalg.eigh(a)
         s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
@@ -307,7 +310,8 @@ def one_to_one_norm(superop) -> float:
         grad = np.einsum("kab,kb->ka", m, psi)
         rayleigh = np.einsum("ka,ka->k", psi.conj(), grad).real
         resid = np.linalg.norm(grad - rayleigh[:, None] * psi, axis=1)
-        if np.max(resid) <= _NORM_TOL:
+        best = np.argmax(np.abs(lam).sum(axis=1))
+        if resid[best] <= _NORM_TOL:
             break
         psi = np.linalg.eigh(m)[1][:, :, -1]
 

@@ -45,6 +45,11 @@ def test_kraus_channel_shapes():
         kraus_channel([np.zeros((2, 2)), np.zeros((3, 2))])
     with pytest.raises(MetriqError):
         kraus_channel([])
+    for empty in [np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0))]:
+        with pytest.raises(DimMismatchError, match=rf"\({empty.shape[0]}, {empty.shape[1]}\) is empty"):
+            kraus_channel([empty])
+    with pytest.raises(DimMismatchError, match="empty"):
+        KrausChannel((np.zeros((0, 0)),), dim_in=0, dim_out=0)
 
 
 def test_kraus_channel_accepts_unphysical_operators():

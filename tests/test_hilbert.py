@@ -67,6 +67,13 @@ def test_validate_metric_rejects_indefinite_and_singular():
         validate_metric(np.diag([1.0, -0.5]))
     with pytest.raises(NotPositiveDefiniteError):
         validate_metric(np.diag([1.0, 0.0]))
+    with pytest.raises(NotPositiveDefiniteError, match=r"empty, shape \(0, 0\)"):
+        validate_metric(np.zeros((0, 0)))
+
+
+def test_validate_density_rejects_empty():
+    with pytest.raises(InvalidDensityOperatorError, match=r"empty, shape \(0, 0\)"):
+        validate_density(np.zeros((0, 0)))
 
 
 def test_metric_functional_calculus():

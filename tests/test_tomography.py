@@ -26,6 +26,7 @@ from metriq.tomography import (
     ReconstructedChannel,
     _herm3_trace_norm,
     _herm_coords,
+    _hermitian_image,
     default_design,
     dishonest_prover,
     embedded_metric_channel,
@@ -38,6 +39,7 @@ from metriq.tomography import (
     threshold,
     verify,
 )
+from test_acceptance import acceptance_metric, acceptance_prover
 
 ETA2 = np.array([[0.8, -0.2j], [0.2j, 0.8]])
 
@@ -544,18 +546,85 @@ def test_norm_warns_at_its_iteration_cap():
     with pytest.warns(IterationCapWarning, match="150-iteration cap.*residual") as caught:
         value = one_to_one_norm(phi)
     assert len(caught) == 1
+    # the warning names the residual of the start with the largest objective;
+    # the rule never stopped, so the reference ran the same 150 iterations
+    ref, best_resid = _all_starts_norm(phi)
+    assert f"best start's stationarity residual {best_resid:.3g} >" in str(caught[0].message)
+    assert value == ref
     # the value at the last iterate is still returned
     assert 1.99 < value <= 2.0 + 1e-12
 
 
 def test_norm_does_not_warn_on_the_readme_verify_map():
+    # the README's honest and dishonest verify configs
     eta = validate_metric(ETA2)
     design = default_design()
-    responses = run_prover(honest_prover(), eta, design, 3000, RngStream(seed=3))
+    flip = dishonest_prover([np.array([[0.0, 1.0], [1.0, 0.0]])], [0.7])
+    for model, shots, seed, verdict in [
+        (honest_prover(), 3000, 3, "accept"),
+        (flip, 5000, 5, "reject"),
+    ]:
+        responses = run_prover(model, eta, design, shots, RngStream(seed=seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IterationCapWarning)
+            report = verify(eta, reconstruct(responses, design, shots_per_input=shots))
+        assert report.verdict == verdict
+
+
+def _all_starts_norm(superop):
+    """The estimator with the earlier stopping rule, every start stationary.
+
+    Returns the norm and, if the loop reached its cap, the best start's
+    residual at the last iteration that formed residuals (else None).
+    """
+    lmap = np.asarray(superop, dtype=complex)
+    d = math.isqrt(lmap.shape[0])
+    eye_vec = (np.eye(d, dtype=complex) / d).reshape(-1)
+    floor = trace_norm((lmap @ eye_vec).reshape(d, d))
+    psi = RngStream(seed=0x315A7C0FFEE).haar_states(64, d)
+    adjoint = lmap.conj().T
+    best_resid = None
+    for it in range(151):
+        a = _hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :])
+        if it == 150:
+            best_resid = resid[np.argmax(np.abs(lam).sum(axis=1))]
+            lam = np.linalg.eigvalsh(a)
+            break
+        lam, vec = np.linalg.eigh(a)
+        s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        m = _hermitian_image(adjoint, s)
+        grad = np.einsum("kab,kb->ka", m, psi)
+        rayleigh = np.einsum("ka,ka->k", psi.conj(), grad).real
+        resid = np.linalg.norm(grad - rayleigh[:, None] * psi, axis=1)
+        if np.max(resid) <= 1e-8:
+            break
+        psi = np.linalg.eigh(m)[1][:, :, -1]
+    return float(max(np.abs(lam).sum(axis=1).max(), floor)), best_resid
+
+
+def test_best_start_rule_matches_the_all_starts_rule():
+    # criterion 8's first 25 exact dishonest maps and 5 honest maps at 1e4 shots
+    design = default_design()
+    cases = []
+    for m in range(5):
+        eta = acceptance_metric(3000 + m)
+        target = superoperator(embedded_metric_channel(eta))
+        for j in range(5):
+            model = acceptance_prover(4000 + 5 * m + j)
+            responses = run_prover(model, eta, design, 10, RngStream(seed=5 * m + j), exact=True)
+            cases.append((target - reconstruct(responses, design).linear_map, threshold(eta)))
+    eta = validate_metric(ETA2)
+    target = superoperator(embedded_metric_channel(eta))
+    for seed in range(5):
+        responses = run_prover(honest_prover(), eta, design, 10_000, RngStream(seed=seed))
+        cases.append((target - reconstruct(responses, design).linear_map, threshold(eta)))
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IterationCapWarning)
-        report = verify(eta, reconstruct(responses, design, shots_per_input=3000))
-    assert report.verdict == "accept"
+        warnings.simplefilter("ignore", IterationCapWarning)
+        for phi, th in cases:
+            ref, _ = _all_starts_norm(phi)
+            value = one_to_one_norm(phi)
+            assert ref - 1e-9 <= value <= ref + 1e-12
+            assert (value <= th) == (ref <= th)
 
 
 # ---------------------------------------------------------------------------
