@@ -4,7 +4,8 @@ Exit codes are part of the interface: 0 success (or accept), 1 reject,
 2 domain error, 3 unreadable input or config, 64 usage. Runs are always
 seeded; identical configs produce byte-identical output files.
 
-Configs are JSON, and this module alone decodes them. Every config number
+Configs are JSON, and this module alone decodes them; it alone encodes the
+output rows too, as CSV or JSON through one renderer. Every config number
 is a finite JSON number: a string, a boolean, NaN, +-Infinity or an integer
 too large for a float exits 3 with the field named. seed, shots and dim
 must also be integral. A complex matrix is a list of equally long rows
@@ -16,6 +17,7 @@ whose entries are exactly [re, im] pairs, or an object {"dim": n,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -25,12 +27,7 @@ import numpy as np
 
 from .errors import MetriqError
 from .hilbert import validate_metric
-from .montecarlo import (
-    chained_success_probability,
-    simulate_g_eta,
-    simulate_pt,
-    summary,
-)
+from .montecarlo import chained_success_probability, simulate_g_eta, simulate_pt
 from .ptsym import PtHamiltonian, build_pt_system
 from .rng import RngStream
 from .tomography import (
@@ -38,7 +35,6 @@ from .tomography import (
     dishonest_prover,
     honest_prover,
     reconstruct,
-    report_to_json,
     run_prover,
     threshold,
     verify,
@@ -50,7 +46,8 @@ EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 EXIT_USAGE = 64
 
-CSV_HEADER = "seed,N,total_copies,success_ratio,analytic_prob,abs_error"
+# a simulate row's keys, in CSV column order
+_CSV_COLUMNS = ("seed", "N", "total_copies", "success_ratio", "analytic_prob", "abs_error")
 
 # RngStream keeps the low 64 bits of a seed, so a larger one would silently
 # alias a smaller one
@@ -79,6 +76,13 @@ def _read_json(path):
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _read_config(path):
+    cfg = _read_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
 
 
 def _number(value, what):
@@ -169,17 +173,11 @@ def _decode_prover(blob):
 
 
 def _render(row, fmt):
+    """The bytes of one output row: sorted, indented JSON, or a CSV header and line."""
     if fmt == "json":
         return json.dumps(row, indent=2, sort_keys=True) + "\n"
-    cells = [
-        str(row["seed"]),
-        str(row["N"]),
-        str(row["total_copies"]),
-        format(row["success_ratio"], ".17g"),
-        format(row["analytic_prob"], ".17g"),
-        format(row["abs_error"], ".17g"),
-    ]
-    return CSV_HEADER + "\n" + ",".join(cells) + "\n"
+    cells = (format(v, ".17g") if isinstance(v, float) else str(v) for v in row.values())
+    return ",".join(row) + "\n" + ",".join(cells) + "\n"
 
 
 def _emit(text, out_path):
@@ -212,9 +210,7 @@ def _cmd_metric_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    cfg = _read_config(args.config)
     seed = _merged_int(args.seed, cfg, "seed", minimum=0, maximum=_MAX_SEED)
     shots = _merged_int(args.shots, cfg, "shots", minimum=1)
     rng = RngStream(seed=seed)
@@ -234,16 +230,19 @@ def _cmd_simulate(args) -> int:
         else:
             rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         record = simulate_pt(system, rho, t, shots, rng)
-        analytic = chained_success_probability(system, rho, t)
+        analytic = float(chained_success_probability(system, rho, t))
 
-    _emit(_render(summary(record, analytic), args.format), args.out)
+    ratio = record.success_ratio
+    row = dict(zip(_CSV_COLUMNS, (
+        record.seed, record.requested_successes, record.total_copies_used,
+        ratio, analytic, abs(ratio - analytic),
+    )))
+    _emit(_render(row, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    cfg = _read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    cfg = _read_config(args.config)
     if "metric" not in cfg or "prover" not in cfg:
         raise ConfigError("verify config needs 'metric' and 'prover'")
     seed = _merged_int(args.seed, cfg, "seed", minimum=0, maximum=_MAX_SEED)
@@ -261,8 +260,8 @@ def _cmd_verify(args) -> int:
     design = default_design()
     responses = run_prover(model, eta, design, shots, RngStream(seed=seed), exact=exact)
     report = verify(eta, reconstruct(responses, design, shots_per_input=shots))
-    blob = report_to_json(report, shots_per_input=shots, seed=seed)
-    _emit(json.dumps(blob, indent=2, sort_keys=True) + "\n", args.out)
+    row = {**dataclasses.asdict(report), "shots_per_input": shots, "seed": seed}
+    _emit(_render(row, "json"), args.out)
     return EXIT_OK if report.verdict == "accept" else EXIT_REJECT
 
 

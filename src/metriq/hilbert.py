@@ -88,12 +88,15 @@ def validate_metric(matrix) -> MetricOperator:
 
     Eigenvalues at or below 1e-12 count as singular, not merely small:
     the package needs eta^{-1/2} everywhere, so a numerically singular
-    metric is rejected up front.
+    metric is rejected up front. So is a spectrum that is not finite, which
+    entries near the float maximum can give.
     """
     m = as_matrix(matrix)
     if m.size == 0:
         raise NotPositiveDefiniteError(f"metric is empty, shape {m.shape}")
     eig = hermitian_eig(m)
+    if not np.isfinite(eig.eigenvalues).all():
+        raise MetriqError(f"metric spectrum {eig.eigenvalues.tolist()} is not finite")
     if eig.eigenvalues[0] <= _PD_CUTOFF:
         raise NotPositiveDefiniteError(
             f"metric eigenvalue {eig.eigenvalues[0]:.3e} is not positive"

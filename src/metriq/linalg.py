@@ -77,7 +77,8 @@ def hermitian_eig(matrix) -> HermitianEigensystem:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds tolerance for shape {m.shape}"
         )
-    values, vectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    # halving first keeps entries near the float maximum from overflowing
+    values, vectors = np.linalg.eigh(m / 2.0 + m.conj().T / 2.0)
     return HermitianEigensystem(values, _fix_phases(vectors))
 
 

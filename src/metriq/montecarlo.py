@@ -92,6 +92,12 @@ def _attempts_for_successes(rng: RngStream, p: float, n: int) -> int:
     return total
 
 
+def _sampled_ratio(rng: RngStream, p: float, n: int, scale: float) -> tuple[int, float]:
+    """(copies, scale * n / copies): n successes at success probability p estimate scale * p."""
+    copies = _attempts_for_successes(rng, p, n)
+    return copies, scale * n / copies
+
+
 def _branch_counts(rng: RngStream, q, n: int) -> np.ndarray:
     """Successes per branch q_k / sum(q) from slots n + j; one branch reads no slot."""
     if len(q) == 1:
@@ -125,11 +131,11 @@ def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> Simulati
         )
     rho = validate_density(rho, dim=2, min_trace=1e-12)
     state, prob, scale = _gate(eta, rho)
-    total = _attempts_for_successes(rng, min(prob, 1.0), n)
+    total, ratio = _sampled_ratio(rng, min(prob, 1.0), n, scale)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
-        success_ratio=scale * n / total,
+        success_ratio=ratio,
         output_state_estimate=embed(state),
         seed=rng.seed,
     )
@@ -151,11 +157,11 @@ def simulate_pt(sys: PtSystem, rho, t: float, n: int, rng: RngStream) -> Simulat
     eta_rev = validate_metric(g_kappa_eta_inv(sys.eta2)[0] * sys.eta2_inv.matrix)
     state4, p4, scale_rev = _gate(eta_rev, v @ state2 @ v.conj().T)
 
-    total = _attempts_for_successes(rng, min(p2, 1.0) * min(p4, 1.0), n)
+    total, ratio = _sampled_ratio(rng, min(p2, 1.0) * min(p4, 1.0), n, scale_fwd * scale_rev)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
-        success_ratio=scale_fwd * scale_rev * n / total,
+        success_ratio=ratio,
         output_state_estimate=embed(state4),
         seed=rng.seed,
     )
@@ -165,14 +171,3 @@ def chained_success_probability(sys: PtSystem, rho, t: float) -> float:
     """kappa * tr(U rho U^dagger): the per-copy success probability of simulate_pt."""
     return analytic_pt_evolution(sys, rho, t)[1]
 
-
-def summary(record: SimulationRecord, analytic_prob: float) -> dict:
-    """The CSV-facing view: ratio next to its analytic target."""
-    return {
-        "seed": record.seed,
-        "N": record.requested_successes,
-        "total_copies": record.total_copies_used,
-        "success_ratio": record.success_ratio,
-        "analytic_prob": float(analytic_prob),
-        "abs_error": abs(record.success_ratio - float(analytic_prob)),
-    }

@@ -99,8 +99,7 @@ class RngStream:
 
         Consumes 2*dim*count slots beginning at `start`.
         """
-        z = self.normals(2 * dim * count, start).reshape(count, dim, 2)
-        psi = z[..., 0] + 1j * z[..., 1]
+        psi = self.normals(2 * dim * count, start).view(complex).reshape(count, dim)
         norms = np.linalg.norm(psi, axis=1, keepdims=True)
         return psi / norms
 
@@ -110,8 +109,7 @@ class RngStream:
         Gram-Schmidt on a Ginibre matrix with positive real column pivots,
         which is the phase convention that makes QR sampling Haar.
         """
-        z = self.normals(2 * dim * dim, start).reshape(dim, dim, 2)
-        g = z[..., 0] + 1j * z[..., 1]
+        g = self.normals(2 * dim * dim, start).view(complex).reshape(dim, dim)
         q = np.zeros((dim, dim), dtype=complex)
         for j in range(dim):
             v = g[:, j].copy()

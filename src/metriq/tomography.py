@@ -43,7 +43,7 @@ from .errors import (
 )
 from .hilbert import MetricOperator, validate_density
 from .linalg import as_matrix, hermitian_eig, trace_norm
-from .montecarlo import _attempts_for_successes, _branch_counts, _gate, _require_shot_count
+from .montecarlo import _branch_counts, _gate, _require_shot_count, _sampled_ratio
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
@@ -154,7 +154,7 @@ def _response(model, eta, sigma, n, rng, exact):
         weights, ratio = q / p, scale * p
     else:
         weights = _branch_counts(rng, q, n) / float(n)
-        ratio = scale * n / _attempts_for_successes(rng, p, n)
+        _, ratio = _sampled_ratio(rng, p, n, scale)
     return ratio, np.tensordot(weights, states, axes=1)
 
 
@@ -405,6 +405,7 @@ def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
 
 _ORACLE_SEED = 0xB07E57A7E5
 _ORACLE_CHUNK = 1 << 17
+_ORACLE_MAX_SAMPLES = 3 * 10**7  # about 20 s at about 0.7 us per probe for d = 3
 
 
 def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SEED) -> float:
@@ -421,10 +422,15 @@ def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SE
     Hermitian part, becomes one real d^2 x d^2 matrix built per call, each
     chunk of probes is one real matmul, and for d = 3 the trace norm comes
     from a closed form on the coordinates.
+
+    At most _ORACLE_MAX_SAMPLES = 3e7 probes, about 20 s for d = 3; a larger
+    request raises MetriqError before any probe is drawn.
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
     samples = _require_shot_count(samples, "samples")
+    if samples > _ORACLE_MAX_SAMPLES:
+        raise MetriqError(f"{samples} samples exceed the budget of {_ORACLE_MAX_SAMPLES} probes")
     # row i holds the coordinates of the Hermitian part of Phi(basis_i)
     herm_map = _herm_coords(_hermitian_image(lmap, _herm_from_coords(np.eye(d * d), d)))
     j, k = np.triu_indices(d, 1)
@@ -497,13 +503,3 @@ def verify(eta: MetricOperator, recon: ReconstructedChannel) -> VerificationRepo
         eta_eigenvalues=(float(lam[-1]), float(lam[0])),
     )
 
-
-def report_to_json(report: VerificationReport, shots_per_input: int, seed: int) -> dict:
-    return {
-        "distance": report.distance,
-        "threshold": report.threshold,
-        "verdict": report.verdict,
-        "eta_eigenvalues": [report.eta_eigenvalues[0], report.eta_eigenvalues[1]],
-        "shots_per_input": int(shots_per_input),
-        "seed": int(seed),
-    }

@@ -19,7 +19,11 @@ import pytest
 
 from metriq import cli
 from metriq.cli import ConfigError, _decode_pt, _matrix
+from metriq.hilbert import validate_metric
+from metriq.montecarlo import simulate_g_eta
 from metriq.ptsym import PtHamiltonian
+from metriq.rng import RngStream
+from metriq.tomography import default_design, honest_prover, reconstruct, run_prover, verify
 
 ETA2_JSON = [[[0.8, 0.0], [0.0, -0.2]], [[0.0, 0.2], [0.8, 0.0]]]
 IDENTITY_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -74,6 +78,19 @@ def test_metric_validate_parse_failures(tmp_path):
     # parses as JSON but rows are not [re, im] pairs
     schema = write_json(tmp_path / "schema.json", [[1, 2], [3, 4]])
     assert run_cli("metric-validate", schema).returncode == 3
+
+
+def test_metric_validate_never_prints_nan(tmp_path):
+    # entries near the float maximum give a finite spectrum or a domain error
+    for i, (rows, code) in enumerate((
+        ([[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]], 0),
+        ([[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]], 2),
+    )):
+        proc = run_cli("metric-validate", write_json(tmp_path / f"m{i}.json", rows))
+        assert proc.returncode == code, rows
+        assert "nan" not in proc.stdout
+        if code == 0:
+            assert "inf" not in proc.stdout
 
 
 def test_matrix_decoder_is_exact():
@@ -139,6 +156,27 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     assert run_cli("simulate", "g-eta", "--config", cfg, "--out", str(out1)).returncode == 0
     assert run_cli("simulate", "g-eta", "--config", cfg, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+    pt = write_json(
+        tmp_path / "pt.json",
+        {"r": 1.0, "s": 2.0, "phi": 0.5235987755982988, "t": 1.0, "shots": 500, "seed": 9},
+    )
+    sampled = write_json(
+        tmp_path / "vs.json", {"metric": ETA2_JSON, "prover": "honest", "shots": 300, "seed": 3}
+    )
+    dishonest = {"kind": "dishonest", "unitaries": [IDENTITY_JSON], "probs": [0.7]}
+    exact = write_json(
+        tmp_path / "ve.json", {"metric": ETA2_JSON, "prover": dishonest, "exact": True, "seed": 3}
+    )
+    for i, argv in enumerate((
+        ["simulate", "pt", "--config", pt],
+        ["simulate", "pt", "--config", pt, "--format", "json"],
+        ["verify", "--config", sampled],
+        ["verify", "--config", exact],
+    )):
+        outs = [tmp_path / f"rerun{i}{k}.out" for k in "ab"]
+        codes = [run_cli(*argv, "--out", str(out)).returncode for out in outs]
+        assert codes[0] == codes[1] and codes[0] in (0, 1), argv
+        assert outs[0].read_bytes() == outs[1].read_bytes(), argv
     # the flag overrides the config seed and changes the sample path
     proc = run_cli("simulate", "g-eta", "--config", cfg, "--seed", "8", "--format", "json")
     assert proc.returncode == 0
@@ -146,6 +184,27 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     assert blob["seed"] == 8
     assert blob["N"] == 500
     assert set(blob) == {"seed", "N", "total_copies", "success_ratio", "analytic_prob", "abs_error"}
+
+
+def test_summary_keys(tmp_path):
+    cfg = write_json(
+        tmp_path / "ge.json",
+        {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 1000, "seed": 90},
+    )
+    rec = simulate_g_eta(
+        validate_metric(_matrix(ETA2_JSON, "metric")), _matrix(STATE00_JSON, "state"),
+        1000, RngStream(seed=90),
+    )
+    proc = run_cli("simulate", "g-eta", "--config", cfg, "--format", "json")
+    assert proc.returncode == 0
+    row = json.loads(proc.stdout)
+    assert (row["seed"], row["N"], row["total_copies"]) == (90, 1000, rec.total_copies_used)
+    assert set(row) == {"seed", "N", "total_copies", "success_ratio", "analytic_prob", "abs_error"}
+    assert row["success_ratio"] == rec.success_ratio
+    assert row["abs_error"] == pytest.approx(abs(rec.success_ratio - 0.8))
+    # the CSV line carries the same values in the header's order
+    header, line = run_cli("simulate", "g-eta", "--config", cfg).stdout.splitlines()
+    assert dict(zip(header.split(","), map(float, line.split(",")))) == row
 
 
 def test_simulate_pt_matches_analytic_column(tmp_path):
@@ -360,6 +419,32 @@ def test_verify_dishonest_rejects_with_exit_one(tmp_path):
     blob = json.loads(proc.stdout)
     assert blob["verdict"] == "reject"
     assert blob["distance"] >= blob["threshold"]
+
+
+def test_report_to_json_structure(tmp_path):
+    cfg = write_json(
+        tmp_path / "v.json", {"metric": ETA2_JSON, "prover": "honest", "exact": True, "seed": 42}
+    )
+    proc = run_cli("verify", "--config", cfg)
+    assert proc.returncode == 0
+    blob = json.loads(proc.stdout)
+    assert set(blob) == {
+        "distance",
+        "threshold",
+        "verdict",
+        "eta_eigenvalues",
+        "shots_per_input",
+        "seed",
+    }
+    assert blob["verdict"] == "accept"
+    assert blob["eta_eigenvalues"][0] >= blob["eta_eigenvalues"][1]
+    assert blob["seed"] == 42
+    # the row is the library's report
+    eta = validate_metric(_matrix(ETA2_JSON, "metric"))
+    design = default_design()
+    responses = run_prover(honest_prover(), eta, design, 0, RngStream(seed=42), exact=True)
+    report = verify(eta, reconstruct(responses, design))
+    assert (blob["distance"], blob["threshold"]) == (report.distance, report.threshold)
 
 
 def test_verify_exact_must_be_a_boolean(tmp_path):

@@ -71,6 +71,20 @@ def test_validate_metric_rejects_indefinite_and_singular():
         validate_metric(np.zeros((0, 0)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+def test_validate_metric_spectrum_is_finite_or_raises(entries):
+    # a Hermitian matrix whose entries may lie anywhere up to the float maximum
+    a, d, re, im = entries
+    m = np.array([[a, complex(re, im)], [complex(re, -im), d]])
+    try:
+        eta = validate_metric(m)
+    except MetriqError:
+        return
+    assert np.isfinite(eta.eig.eigenvalues).all()
+    assert np.isfinite(eta.eig.eigenvectors).all()
+
+
 def test_validate_density_rejects_empty():
     with pytest.raises(InvalidDensityOperatorError, match=r"empty, shape \(0, 0\)"):
         validate_density(np.zeros((0, 0)))

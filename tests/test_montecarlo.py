@@ -27,7 +27,6 @@ from metriq.montecarlo import (
     chained_success_probability,
     simulate_g_eta,
     simulate_pt,
-    summary,
 )
 from metriq.ptsym import PtHamiltonian, analytic_pt_evolution, build_pt_system, u_pt
 from metriq.rng import RngStream
@@ -379,6 +378,18 @@ def test_only_rng_and_montecarlo_draw_uniforms():
     assert drawers == {"rng", "montecarlo"}
 
 
+def test_only_sampled_ratio_draws_copies():
+    """Every success ratio is scale * n / copies from one helper."""
+    callers = set()
+    for path in pathlib.Path(montecarlo.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Name) and node.id == "_attempts_for_successes":
+                        callers.add(fn.name)
+    assert callers == {"_sampled_ratio"}
+
+
 def test_near_singular_metric_finishes():
     eta = validate_metric(np.diag([1.0, 1e-9]))
     rho = np.diag([0.0, 1.0]).astype(complex)
@@ -386,14 +397,3 @@ def test_near_singular_metric_finishes():
     sigma = math.sqrt((1.0 - 1e-9) / 2000)
     assert abs(rec.success_ratio / 1e-9 - 1.0) <= 5.0 * sigma
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_summary_keys():
-    rec = simulate_g_eta(ETA2, RHO0, 1000, RngStream(seed=90))
-    row = summary(rec, 0.8)
-    assert (row["seed"], row["N"], row["total_copies"]) == (90, 1000, rec.total_copies_used)
-    assert set(row) == {"seed", "N", "total_copies", "success_ratio", "analytic_prob", "abs_error"}
-    assert row["abs_error"] == pytest.approx(abs(rec.success_ratio - 0.8))

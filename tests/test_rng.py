@@ -1,6 +1,7 @@
 import numpy as np
 
 from metriq.rng import RngStream
+from metriq.tomography import _ORACLE_CHUNK
 
 
 def test_chunking_does_not_change_draws():
@@ -54,6 +55,31 @@ def test_haar_unitary_is_unitary_and_deterministic():
     assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
     again = RngStream(8).haar_unitary(3, start=77)
     assert np.array_equal(u, again)
+
+
+def test_haar_draws_read_the_normals_as_complex_pairs():
+    # the pairwise form both draws used before they viewed the normals as complex
+    def pairwise(z, shape):
+        z = z.reshape(*shape, 2)
+        return z[..., 0] + 1j * z[..., 1]
+
+    rng = RngStream(0xB07E57A7E5)
+    for dim in (2, 3):
+        # 2000 states straddling the boundary between the oracle's first two chunks
+        start = 2 * dim * (_ORACLE_CHUNK - 1000)
+        psi = pairwise(rng.normals(2 * dim * 2000, start), (2000, dim))
+        old = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        new = rng.haar_states(2000, dim, start=start)
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+        g = pairwise(rng.normals(2 * dim * dim, start=77), (dim, dim))
+        q = np.zeros((dim, dim), dtype=complex)
+        for j in range(dim):
+            v = g[:, j].copy()
+            for k in range(j):
+                v -= np.vdot(q[:, k], g[:, j]) * q[:, k]
+            q[:, j] = v / np.linalg.norm(v)
+        assert np.array_equal(rng.haar_unitary(dim, start=77).view(np.uint64), q.view(np.uint64))
 
 
 def test_seed_masking():

@@ -33,7 +33,6 @@ from metriq.tomography import (
     honest_prover,
     one_to_one_norm,
     reconstruct,
-    report_to_json,
     run_prover,
     sampled_one_to_one,
     threshold,
@@ -739,6 +738,18 @@ def test_sampled_oracle_rejects_zero_samples():
     assert sampled_one_to_one(phi, samples=np.int64(10_000)) == best
 
 
+def test_sampled_oracle_budget_is_checked_before_any_probe(monkeypatch):
+    from metriq.tomography import _ORACLE_MAX_SAMPLES
+
+    def no_probes(*args, **kwargs):
+        raise AssertionError("a probe was drawn")
+
+    monkeypatch.setattr(RngStream, "haar_states", no_probes)
+    for samples in (_ORACLE_MAX_SAMPLES + 1, 2**70):
+        with pytest.raises(MetriqError, match="budget"):
+            sampled_one_to_one(np.eye(9), samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # threshold and target channel
 # ---------------------------------------------------------------------------
@@ -833,21 +844,3 @@ def test_dishonest_provers_always_rejected():
             floor = (abs(lam[0] - s) + abs(lam[1] - s) + s) / 3.0
             assert report.distance >= floor - 1e-8
 
-
-def test_report_to_json_structure():
-    eta = validate_metric(ETA2)
-    design = default_design()
-    responses = run_prover(honest_prover(), eta, design, 10, RngStream(seed=0), exact=True)
-    report = verify(eta, reconstruct(responses, design))
-    blob = report_to_json(report, shots_per_input=0, seed=42)
-    assert set(blob) == {
-        "distance",
-        "threshold",
-        "verdict",
-        "eta_eigenvalues",
-        "shots_per_input",
-        "seed",
-    }
-    assert blob["verdict"] == "accept"
-    assert blob["eta_eigenvalues"][0] >= blob["eta_eigenvalues"][1]
-    assert blob["seed"] == 42
