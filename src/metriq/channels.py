@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, MetricExceedsIdentityError, MetriqError
+from .errors import DimMismatchError, MetriqError
 from .dilation import normalize_metric
-from .hilbert import MetricOperator
+from .hilbert import MetricOperator, _require_subidentity
 from .linalg import as_matrix
 
 
@@ -70,10 +70,7 @@ class ChoiMatrix:
 
 def g_eta(eta: MetricOperator) -> KrausChannel:
     """The metric channel M -> eta^{1/2} M eta^{1/2} (single Kraus operator)."""
-    if not eta.subidentity:
-        raise MetricExceedsIdentityError(
-            f"metric norm {eta.norm:.12g} > 1; rescale via scaled_metric first"
-        )
+    _require_subidentity(eta)
     root = eta.sqrt()
     return KrausChannel((root,), dim_in=eta.dim, dim_out=eta.dim)
 
@@ -89,8 +86,7 @@ def apply_e_eta(eta: MetricOperator, matrix) -> np.ndarray:
         raise DimMismatchError("E_eta needs a square matrix")
     if m.shape[0] != eta.dim:
         raise DimMismatchError(f"matrix dim {m.shape[0]} != metric dim {eta.dim}")
-    if not eta.subidentity:
-        raise MetricExceedsIdentityError(f"metric norm {eta.norm:.12g} > 1")
+    _require_subidentity(eta)
     return m @ eta.matrix
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimMismatchError,
     InvalidDensityOperatorError,
+    MetricExceedsIdentityError,
     MetriqError,
     NotPositiveDefiniteError,
     SupernormalizedError,
@@ -113,6 +114,14 @@ def validate_metric(matrix) -> MetricOperator:
 def _require_dim(eta: MetricOperator, dim: int) -> None:
     if eta.dim != dim:
         raise DimMismatchError(f"metric dim {eta.dim} does not match operand dim {dim}")
+
+
+def _require_subidentity(eta: MetricOperator) -> None:
+    if not eta.subidentity:
+        raise MetricExceedsIdentityError(
+            f"metric norm {eta.norm:.12g} > 1 cannot be realized as a channel; "
+            "rescale via scaled_metric first"
+        )
 
 
 def eta_inner(eta: MetricOperator, phi: StateVector, psi: StateVector) -> complex:

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import g_kappa_eta_inv
 from .dilation import _project, build_dilation, embed, normalize_metric
-from .errors import MetricExceedsIdentityError, MetriqError
-from .hilbert import MetricOperator, validate_density, validate_metric
+from .errors import MetriqError
+from .hilbert import MetricOperator, _require_subidentity, validate_density
 from .linalg import matrix_exp_hermitian_generator
 from .ptsym import PtSystem, analytic_pt_evolution
 from .rng import RngStream
@@ -67,12 +66,12 @@ def _uniform_blocks(rng: RngStream, count: int, start: int = 0):
         yield rng.uniforms(min(_BLOCK, count - lo), start=start + lo)
 
 
-def _attempts_for_successes(rng: RngStream, p: float, n: int) -> int:
-    """Copies used until n successes at per-copy success probability p.
+def _sampled_ratio(rng: RngStream, p: float, n: int, scale: float) -> tuple[int, float]:
+    """(copies, scale * n / copies) for n successes at per-copy success probability p.
 
-    The budget is checked before any draw. A uniform is at most 1 - 2^-53,
-    so each failure count is at most 36.74/p and a total that passes the
-    check fits in int64.
+    The ratio estimates scale * p. The budget is checked before any draw. A
+    uniform is at most 1 - 2^-53, so each failure count is at most 36.74/p
+    and a count of copies that passes the check fits in int64.
     """
     if not p > 0.0:
         raise MetriqError("success probability vanished")
@@ -82,19 +81,12 @@ def _attempts_for_successes(rng: RngStream, p: float, n: int) -> int:
         raise MetriqError(
             f"{n} successes at success probability {p:.3g} could need more than 2^63 copies"
         )
-    if p >= 1.0:
-        return n
-    log_q = np.log1p(-p)
-    total = n
-    for u in _uniform_blocks(rng, n):
-        # the ratio is nonnegative, so truncation is the floor
-        total += int((np.log1p(-u) / log_q).astype(np.int64).sum())
-    return total
-
-
-def _sampled_ratio(rng: RngStream, p: float, n: int, scale: float) -> tuple[int, float]:
-    """(copies, scale * n / copies): n successes at success probability p estimate scale * p."""
-    copies = _attempts_for_successes(rng, p, n)
+    copies = n
+    if p < 1.0:
+        log_q = np.log1p(-p)
+        for u in _uniform_blocks(rng, n):
+            # the ratio is nonnegative, so truncation is the floor
+            copies += int((np.log1p(-u) / log_q).astype(np.int64).sum())
     return copies, scale * n / copies
 
 
@@ -117,21 +109,9 @@ def _gate(eta: MetricOperator, rho) -> tuple[np.ndarray, float, float]:
     return block / prob, prob, scale
 
 
-def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> SimulationRecord:
-    """Simulate the dilate-and-postselect realization of the metric channel.
-
-    Each attempt embeds a fresh copy of rho, applies the dilation unitary of
-    eta/||eta||, and postselects on the qubit block; the block trace is the
-    per-copy success probability. Runs until n successes.
-    """
-    n = _require_shot_count(n)
-    if not eta.subidentity:
-        raise MetricExceedsIdentityError(
-            f"metric norm {eta.norm:.12g} > 1 cannot be realized as a channel"
-        )
-    rho = validate_density(rho, dim=2, min_trace=1e-12)
-    state, prob, scale = _gate(eta, rho)
-    total, ratio = _sampled_ratio(rng, min(prob, 1.0), n, scale)
+def _record(rng: RngStream, p: float, n: int, scale: float, state) -> SimulationRecord:
+    """Draw n successes at success probability p and record them with their exact state."""
+    total, ratio = _sampled_ratio(rng, p, n, scale)
     return SimulationRecord(
         requested_successes=n,
         total_copies_used=total,
@@ -141,30 +121,37 @@ def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> Simulati
     )
 
 
+def simulate_g_eta(eta: MetricOperator, rho, n: int, rng: RngStream) -> SimulationRecord:
+    """Simulate the dilate-and-postselect realization of the metric channel.
+
+    Each attempt embeds a fresh copy of rho, applies the dilation unitary of
+    eta/||eta||, and postselects on the qubit block; the block trace is the
+    per-copy success probability. Runs until n successes.
+    """
+    n = _require_shot_count(n)
+    _require_subidentity(eta)
+    rho = validate_density(rho, dim=2, min_trace=1e-12)
+    state, prob, scale = _gate(eta, rho)
+    return _record(rng, min(prob, 1.0), n, scale, state)
+
+
 def simulate_pt(sys: PtSystem, rho, t: float, n: int, rng: RngStream) -> SimulationRecord:
     """Simulate the full PT evolution: metric gate, Hermitian unitary, reversal gate.
 
     Per attempt (one fresh copy): postselect with the eta2 dilation; on
     success apply the deterministic embedded unitary e^{-i(h+0)t}; then
-    postselect with the kappa*eta2^{-1} dilation. A failure at either gate
-    discards the copy and restarts, so total_copies_used counts first-gate
-    attempts. The intermediate unitary consumes no copies and no randomness.
+    postselect with the dilation of eta2^{-1}, whose normalized metric
+    eta2^{-1}/||eta2^{-1}|| is kappa*eta2^{-1}. That metric has norm 1 by
+    construction, so the gate adds no ratio scale. A failure at either gate discards
+    the copy and restarts, so total_copies_used counts first-gate attempts.
+    The intermediate unitary consumes no copies and no randomness.
     """
     n = _require_shot_count(n)
     rho = validate_density(rho, dim=2, min_trace=1e-12)
-    state2, p2, scale_fwd = _gate(sys.eta2, rho)
+    state2, p2, scale = _gate(sys.eta2, rho)
     v = matrix_exp_hermitian_generator(sys.h_pt_hermitian, t)
-    eta_rev = validate_metric(g_kappa_eta_inv(sys.eta2)[0] * sys.eta2_inv.matrix)
-    state4, p4, scale_rev = _gate(eta_rev, v @ state2 @ v.conj().T)
-
-    total, ratio = _sampled_ratio(rng, min(p2, 1.0) * min(p4, 1.0), n, scale_fwd * scale_rev)
-    return SimulationRecord(
-        requested_successes=n,
-        total_copies_used=total,
-        success_ratio=ratio,
-        output_state_estimate=embed(state4),
-        seed=rng.seed,
-    )
+    state4, p4, _ = _gate(sys.eta2_inv, v @ state2 @ v.conj().T)
+    return _record(rng, min(p2, 1.0) * min(p4, 1.0), n, scale, state4)
 
 
 def chained_success_probability(sys: PtSystem, rho, t: float) -> float:

@@ -26,19 +26,18 @@ _SALT_STREAM = 0x8BB84B93962EACC9
 _INV_2_53 = float(2.0 ** -53)
 
 
-def _mix64_int(x: int) -> int:
-    """splitmix64 finalizer on a Python integer, wrapping at 64 bits."""
-    z = x & _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return (z ^ (z >> 31)) & _MASK
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on a uint64 array, elementwise."""
     # uint64 arithmetic wraps modulo 2**64, which is exactly what we need
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     return z ^ (z >> np.uint64(31))
+
+
+def _mix64_int(x: int) -> int:
+    """The finalizer on a Python integer, wrapping at 64 bits."""
+    # a one-element array, not a numpy scalar: scalar arithmetic warns on overflow
+    return int(_mix64_array(np.array([x & _MASK], dtype=np.uint64))[0])
 
 
 @dataclass(frozen=True, eq=True)

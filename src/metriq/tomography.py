@@ -37,11 +37,10 @@ from .errors import (
     DegenerateMetricError,
     DimMismatchError,
     IterationCapWarning,
-    MetricExceedsIdentityError,
     MetriqError,
     SingularDesignError,
 )
-from .hilbert import MetricOperator, validate_density
+from .hilbert import MetricOperator, _require_subidentity, validate_density
 from .linalg import as_matrix, hermitian_eig, trace_norm
 from .montecarlo import _branch_counts, _gate, _require_shot_count, _sampled_ratio
 from .rng import RngStream
@@ -188,8 +187,7 @@ def run_prover(
     """
     if eta.dim != 2:
         raise DimMismatchError(f"the game is played over a qubit metric, got dim {eta.dim}")
-    if not eta.subidentity:
-        raise MetricExceedsIdentityError(f"metric norm {eta.norm:.12g} > 1")
+    _require_subidentity(eta)
     if not exact:
         n = _require_shot_count(n)
     inputs = [validate_density(s, dim=3) for s in design.input_states]
@@ -473,8 +471,7 @@ def embedded_metric_channel(eta: MetricOperator) -> KrausChannel:
     """The verification target: Kraus operator eta^{1/2} + 0 on the qutrit."""
     if eta.dim != 2:
         raise DimMismatchError(f"expected a qubit metric, got dim {eta.dim}")
-    if not eta.subidentity:
-        raise MetricExceedsIdentityError(f"metric norm {eta.norm:.12g} > 1")
+    _require_subidentity(eta)
     return kraus_channel([embed(eta.sqrt())])
 
 

@@ -1,10 +1,16 @@
 """CLI contract tests: exit codes, output formats, determinism.
 
-All runs go through a subprocess so the exit codes and the exact bytes on
-stdout are the ones a shell pipeline would see. The config decoders'
-exact values are checked in process.
+Where the process itself is under test, a run goes through a fresh
+interpreter, so the exit codes and the exact bytes on stdout are the ones a
+shell pipeline would see: the README examples, byte-identical reruns,
+--out, --help, usage errors and the timed requests. Every other run calls
+cli.main in process (run_main), which
+test_one_parser_serves_every_request_in_a_process checks gives the same
+exit code and stdout as a fresh process.
 """
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -34,12 +40,21 @@ CSV_HEADER = "seed,N,total_copies,success_ratio,analytic_prob,abs_error"
 
 
 def run_cli(*args, timeout=None):
+    """A fresh `python -m metriq.cli` process."""
     return subprocess.run(
         [sys.executable, "-m", "metriq.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
     )
+
+
+def run_main(*args):
+    """cli.main in this process, with its exit code, stdout and stderr shaped as run_cli's."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_json(path, obj):
@@ -55,7 +70,7 @@ def test_metric_validate_accepts_both_file_forms(tmp_path):
     bare = write_json(tmp_path / "bare.json", ETA2_JSON)
     wrapped = write_json(tmp_path / "wrapped.json", {"dim": 2, "matrix": ETA2_JSON})
     for path in (bare, wrapped):
-        proc = run_cli("metric-validate", path)
+        proc = run_main("metric-validate", path)
         assert proc.returncode == 0
         assert proc.stdout.startswith("valid")
         assert "0.6" in proc.stdout
@@ -64,20 +79,20 @@ def test_metric_validate_accepts_both_file_forms(tmp_path):
 
 def test_metric_validate_rejects_indefinite(tmp_path):
     path = write_json(tmp_path / "bad.json", INDEFINITE_JSON)
-    proc = run_cli("metric-validate", path)
+    proc = run_main("metric-validate", path)
     assert proc.returncode == 2
     assert proc.stdout.startswith("invalid")
 
 
 def test_metric_validate_parse_failures(tmp_path):
-    proc = run_cli("metric-validate", str(tmp_path / "missing.json"))
+    proc = run_main("metric-validate", str(tmp_path / "missing.json"))
     assert proc.returncode == 3
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
-    assert run_cli("metric-validate", str(garbled)).returncode == 3
+    assert run_main("metric-validate", str(garbled)).returncode == 3
     # parses as JSON but rows are not [re, im] pairs
     schema = write_json(tmp_path / "schema.json", [[1, 2], [3, 4]])
-    assert run_cli("metric-validate", schema).returncode == 3
+    assert run_main("metric-validate", schema).returncode == 3
 
 
 def test_metric_validate_never_prints_nan(tmp_path):
@@ -86,7 +101,7 @@ def test_metric_validate_never_prints_nan(tmp_path):
         ([[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]], 0),
         ([[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]], 2),
     )):
-        proc = run_cli("metric-validate", write_json(tmp_path / f"m{i}.json", rows))
+        proc = run_main("metric-validate", write_json(tmp_path / f"m{i}.json", rows))
         assert proc.returncode == code, rows
         assert "nan" not in proc.stdout
         if code == 0:
@@ -113,7 +128,7 @@ def test_malformed_matrices_are_parse_errors(tmp_path):
         [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
         [],
     )):
-        proc = run_cli("metric-validate", write_json(tmp_path / f"m{i}.json", rows))
+        proc = run_main("metric-validate", write_json(tmp_path / f"m{i}.json", rows))
         assert proc.returncode == 3, rows
         assert "metric" in proc.stderr
     # the same decoder reads the state of a g-eta config
@@ -121,7 +136,7 @@ def test_malformed_matrices_are_parse_errors(tmp_path):
     cfg = write_json(
         tmp_path / "ge.json", {"metric": ETA2_JSON, "state": bad_state, "shots": 10, "seed": 1}
     )
-    proc = run_cli("simulate", "g-eta", "--config", cfg)
+    proc = run_main("simulate", "g-eta", "--config", cfg)
     assert proc.returncode == 3
     assert "state[0][0]" in proc.stderr
 
@@ -135,7 +150,7 @@ def test_simulate_g_eta_csv_contract(tmp_path):
         tmp_path / "ge.json",
         {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 2000, "seed": 7},
     )
-    proc = run_cli("simulate", "g-eta", "--config", cfg)
+    proc = run_main("simulate", "g-eta", "--config", cfg)
     assert proc.returncode == 0
     header, row = proc.stdout.strip().split("\n")
     assert header == CSV_HEADER
@@ -195,7 +210,7 @@ def test_summary_keys(tmp_path):
         validate_metric(_matrix(ETA2_JSON, "metric")), _matrix(STATE00_JSON, "state"),
         1000, RngStream(seed=90),
     )
-    proc = run_cli("simulate", "g-eta", "--config", cfg, "--format", "json")
+    proc = run_main("simulate", "g-eta", "--config", cfg, "--format", "json")
     assert proc.returncode == 0
     row = json.loads(proc.stdout)
     assert (row["seed"], row["N"], row["total_copies"]) == (90, 1000, rec.total_copies_used)
@@ -203,7 +218,7 @@ def test_summary_keys(tmp_path):
     assert row["success_ratio"] == rec.success_ratio
     assert row["abs_error"] == pytest.approx(abs(rec.success_ratio - 0.8))
     # the CSV line carries the same values in the header's order
-    header, line = run_cli("simulate", "g-eta", "--config", cfg).stdout.splitlines()
+    header, line = run_main("simulate", "g-eta", "--config", cfg).stdout.splitlines()
     assert dict(zip(header.split(","), map(float, line.split(",")))) == row
 
 
@@ -212,7 +227,7 @@ def test_simulate_pt_matches_analytic_column(tmp_path):
         tmp_path / "pt.json",
         {"r": 1.0, "s": 2.0, "phi": 0.5235987755982988, "t": 1.0, "shots": 2000, "seed": 9},
     )
-    proc = run_cli("simulate", "pt", "--config", cfg, "--format", "json")
+    proc = run_main("simulate", "pt", "--config", cfg, "--format", "json")
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert abs(blob["analytic_prob"] - 0.56629840696256628) < 1e-12
@@ -224,7 +239,7 @@ def test_simulate_pt_broken_regime_is_domain_error(tmp_path):
         tmp_path / "pt.json",
         {"r": 1.0, "s": 0.4, "phi": 1.5707963267948966, "t": 1.0, "shots": 10, "seed": 9},
     )
-    proc = run_cli("simulate", "pt", "--config", cfg)
+    proc = run_main("simulate", "pt", "--config", cfg)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
 
@@ -233,13 +248,13 @@ def test_simulate_seed_and_shots_requirements(tmp_path):
     cfg = write_json(
         tmp_path / "ge.json", {"metric": ETA2_JSON, "state": STATE00_JSON, "shots": 100}
     )
-    assert run_cli("simulate", "g-eta", "--config", cfg).returncode == 3
-    assert run_cli("simulate", "g-eta", "--config", cfg, "--seed", "1").returncode == 0
+    assert run_main("simulate", "g-eta", "--config", cfg).returncode == 3
+    assert run_main("simulate", "g-eta", "--config", cfg, "--seed", "1").returncode == 0
     noshots = write_json(
         tmp_path / "ge2.json", {"metric": ETA2_JSON, "state": STATE00_JSON, "seed": 1}
     )
-    assert run_cli("simulate", "g-eta", "--config", noshots).returncode == 3
-    assert run_cli("simulate", "g-eta", "--config", noshots, "--shots", "0").returncode == 3
+    assert run_main("simulate", "g-eta", "--config", noshots).returncode == 3
+    assert run_main("simulate", "g-eta", "--config", noshots, "--shots", "0").returncode == 3
 
 
 def test_seed_must_fit_in_64_bits(tmp_path):
@@ -252,9 +267,9 @@ def test_seed_must_fit_in_64_bits(tmp_path):
         argv = ["simulate", "g-eta"] if cmd == "simulate" else ["verify"]
         for seed, code in ((top, 0), (top + 1, 3)):
             from_cfg = write_json(tmp_path / f"{cmd}{seed}.json", {**cfg, "seed": seed})
-            assert run_cli(*argv, "--config", from_cfg).returncode == code
+            assert run_main(*argv, "--config", from_cfg).returncode == code
             from_flag = write_json(tmp_path / f"{cmd}.json", {**cfg, "seed": 0})
-            proc = run_cli(*argv, "--config", from_flag, "--seed", str(seed))
+            proc = run_main(*argv, "--config", from_flag, "--seed", str(seed))
             assert proc.returncode == code
             if code == 3:
                 assert "seed" in proc.stderr
@@ -282,7 +297,7 @@ def test_config_numbers_must_be_integers(tmp_path):
         argv = ["simulate", "g-eta"] if cmd == "simulate" else ["verify"]
         for i, (key, value, code) in enumerate(cases):
             path = write_json(tmp_path / f"{cmd}{i}.json", {**cfg, key: value})
-            proc = run_cli(*argv, "--config", path)
+            proc = run_main(*argv, "--config", path)
             assert proc.returncode == code, (cmd, key, value)
             if code == 3:
                 assert key in proc.stderr
@@ -291,7 +306,7 @@ def test_config_numbers_must_be_integers(tmp_path):
 def test_matrix_dim_must_be_an_integer(tmp_path):
     for dim, code in ((2.9, 3), (float("inf"), 3), (True, 3), ("2", 3), (2.0, 0)):
         path = write_json(tmp_path / "m.json", {"dim": dim, "matrix": ETA2_JSON})
-        proc = run_cli("metric-validate", path)
+        proc = run_main("metric-validate", path)
         assert proc.returncode == code, dim
         if code == 3:
             assert "dim" in proc.stderr
@@ -302,17 +317,17 @@ def test_oversized_config_numbers_are_parse_errors(tmp_path):
     pt = write_json(
         tmp_path / "pt.json", {"r": 1.0, "s": huge, "phi": 0.5, "t": 1.0, "shots": 10, "seed": 1}
     )
-    assert run_cli("simulate", "pt", "--config", pt).returncode == 3
+    assert run_main("simulate", "pt", "--config", pt).returncode == 3
     metric = write_json(tmp_path / "m.json", [[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
-    assert run_cli("metric-validate", metric).returncode == 3
+    assert run_main("metric-validate", metric).returncode == 3
 
 
 def test_pt_parameters_reject_booleans(tmp_path):
     base = {"r": 1.0, "s": 2.0, "phi": 0.5, "t": 1.0, "shots": 10, "seed": 1}
-    assert run_cli("simulate", "pt", "--config", write_json(tmp_path / "ok.json", base)).returncode == 0
+    assert run_main("simulate", "pt", "--config", write_json(tmp_path / "ok.json", base)).returncode == 0
     for key, value in (("r", True), ("s", True), ("phi", False), ("t", True)):
         path = write_json(tmp_path / f"{key}.json", {**base, key: value})
-        proc = run_cli("simulate", "pt", "--config", path)
+        proc = run_main("simulate", "pt", "--config", path)
         assert proc.returncode == 3, key
         assert f"'{key}'" in proc.stderr
 
@@ -323,7 +338,7 @@ def test_pt_config_decoding(tmp_path):
     assert t == 2.5
     base = {"r": 1.0, "s": 2.0, "phi": 0.0, "t": 0.0, "shots": 10, "seed": 1}
     missing = {"r": 1.0, "s": 2.0, "shots": 10, "seed": 1}
-    proc = run_cli("simulate", "pt", "--config", write_json(tmp_path / "missing.json", missing))
+    proc = run_main("simulate", "pt", "--config", write_json(tmp_path / "missing.json", missing))
     assert proc.returncode == 3
     for key, value in (
         ("r", "x"),
@@ -335,7 +350,7 @@ def test_pt_config_decoding(tmp_path):
         ("s", float("nan")),
     ):
         path = write_json(tmp_path / f"{key}.json", {**base, key: value})
-        proc = run_cli("simulate", "pt", "--config", path)
+        proc = run_main("simulate", "pt", "--config", path)
         assert proc.returncode == 3, (key, value)
         assert f"'{key}'" in proc.stderr
     for key in ("r", "s", "phi", "t"):
@@ -414,7 +429,7 @@ def test_verify_dishonest_rejects_with_exit_one(tmp_path):
             "seed": 3,
         },
     )
-    proc = run_cli("verify", "--config", cfg)
+    proc = run_main("verify", "--config", cfg)
     assert proc.returncode == 1
     blob = json.loads(proc.stdout)
     assert blob["verdict"] == "reject"
@@ -425,7 +440,7 @@ def test_report_to_json_structure(tmp_path):
     cfg = write_json(
         tmp_path / "v.json", {"metric": ETA2_JSON, "prover": "honest", "exact": True, "seed": 42}
     )
-    proc = run_cli("verify", "--config", cfg)
+    proc = run_main("verify", "--config", cfg)
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert set(blob) == {
@@ -451,15 +466,15 @@ def test_verify_exact_must_be_a_boolean(tmp_path):
     base = {"metric": ETA2_JSON, "prover": "honest", "seed": 3}
     for value in ("false", "true", 0, 1, None, []):
         path = write_json(tmp_path / "v.json", {**base, "exact": value})
-        proc = run_cli("verify", "--config", path)
+        proc = run_main("verify", "--config", path)
         assert proc.returncode == 3, value
         assert "exact" in proc.stderr
     exact = write_json(tmp_path / "t.json", {**base, "exact": True})
-    proc = run_cli("verify", "--config", exact)
+    proc = run_main("verify", "--config", exact)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["shots_per_input"] == 0
     sampled = write_json(tmp_path / "f.json", {**base, "exact": False, "shots": 10})
-    assert run_cli("verify", "--config", sampled).returncode in (0, 1)
+    assert run_main("verify", "--config", sampled).returncode in (0, 1)
 
 
 def test_verify_degenerate_metric_is_domain_error(tmp_path):
@@ -467,23 +482,23 @@ def test_verify_degenerate_metric_is_domain_error(tmp_path):
         tmp_path / "v.json",
         {"metric": IDENTITY_JSON, "prover": "honest", "shots": 10, "seed": 3},
     )
-    assert run_cli("verify", "--config", cfg).returncode == 2
+    assert run_main("verify", "--config", cfg).returncode == 2
 
 
 def test_verify_prover_schema_errors(tmp_path):
     base = {"metric": ETA2_JSON, "shots": 10, "seed": 3}
     bad_kind = write_json(tmp_path / "a.json", dict(base, prover="evil"))
-    assert run_cli("verify", "--config", bad_kind).returncode == 3
+    assert run_main("verify", "--config", bad_kind).returncode == 3
     missing = write_json(
         tmp_path / "b.json", dict(base, prover={"kind": "dishonest", "probs": [1.0]})
     )
-    assert run_cli("verify", "--config", missing).returncode == 3
+    assert run_main("verify", "--config", missing).returncode == 3
     shear = [[[1.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     nonunitary = write_json(
         tmp_path / "c.json",
         dict(base, prover={"kind": "dishonest", "unitaries": [shear], "probs": [1.0]}),
     )
-    assert run_cli("verify", "--config", nonunitary).returncode == 3
+    assert run_main("verify", "--config", nonunitary).returncode == 3
     dishonest = {"kind": "dishonest", "unitaries": [IDENTITY_JSON], "probs": [0.7]}
     for i, (key, value, field) in enumerate((
         ("probs", ["0.7"], "probs[0]"),
@@ -494,7 +509,7 @@ def test_verify_prover_schema_errors(tmp_path):
         ("unitaries", [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["1", 0.0]]]], "unitaries[0][1][1]"),
     )):
         cfg = write_json(tmp_path / f"d{i}.json", dict(base, prover={**dishonest, key: value}))
-        proc = run_cli("verify", "--config", cfg)
+        proc = run_main("verify", "--config", cfg)
         assert proc.returncode == 3, (key, value)
         assert field in proc.stderr
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriq import channels, montecarlo, tomography
 from metriq.errors import (
     DimMismatchError,
     InvalidDensityOperatorError,
+    MetricExceedsIdentityError,
     MetriqError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -312,3 +314,24 @@ def test_validate_density_eigenvalue_cutoff(log_top, offset):
             validate_density(rho)
     else:
         assert np.array_equal(validate_density(rho), rho)
+
+
+_RHO0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("realize", [
+    channels.g_eta,
+    lambda eta: channels.apply_e_eta(eta, np.eye(2)),
+    lambda eta: montecarlo.simulate_g_eta(eta, _RHO0, 10, RngStream(seed=1)),
+    lambda eta: tomography.run_prover(
+        tomography.honest_prover(), eta, tomography.default_design(), 10, RngStream(seed=1)),
+    tomography.embedded_metric_channel,
+], ids=["g_eta", "apply_e_eta", "simulate_g_eta", "run_prover", "embedded_metric_channel"])
+def test_every_realization_refuses_a_metric_above_identity_alike(realize):
+    eta = validate_metric(np.diag([1.5, 0.5]))
+    with pytest.raises(MetricExceedsIdentityError,
+                       match=r"^metric norm 1\.5 > 1 cannot be realized as a channel; "
+                             r"rescale via scaled_metric first$"):
+        realize(eta)
+    # at the 1e-12 tolerance the metric still counts as under the identity
+    realize(validate_metric(np.diag([1.0 + 5e-13, 0.5])))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriq.errors import DegenerateMetricError
+from metriq.errors import DegenerateMetricError, NotHermitianError
 from metriq.hilbert import validate_metric
 from metriq.linalg import hermitian_eig
 from metriq.rng import RngStream
@@ -44,6 +44,27 @@ def test_hermitian_eig_property(mat):
         lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
         assert lead.real > 0 and abs(lead.imag) <= 1e-15
 
+
+
+def test_hermiticity_gate_survives_entries_near_the_float_maximum():
+    # ||M||_op is about 2e308, which overflows; the gate must not pass M for it
+    with pytest.raises(NotHermitianError):
+        hermitian_eig([[1e308, 1e308], [1.00001e308, 1e308]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 9]), st.floats(0.0, 308.2))
+def test_hermiticity_gate_is_relative_up_to_the_float_maximum(seed, n, log_scale):
+    # with the largest entry 10^log_scale >= 1, ||M||_op lies in [1, n] times
+    # it, so a defect of 1e-6 times the largest entry fails and 1e-12 passes
+    g = RngStream(seed=seed).normals(2 * n * n).view(complex).reshape(n, n)
+    herm = (g + g.conj().T) / 2
+    herm *= 10.0**log_scale / np.abs(herm).max()
+    skew = (g - g.conj().T) / 2
+    skew *= 10.0**log_scale / np.abs(skew).max()
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(herm + 1e-6 * skew)
+    hermitian_eig(herm + 1e-12 * skew)
 
 def _qubit_metric(seed, low, gap):
     u = RngStream(seed=seed).haar_unitary(2)

@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriq import montecarlo
-from metriq.channels import apply, g_eta
+from metriq.channels import apply, g_eta, g_kappa_eta_inv
 from metriq.dilation import embed
 from metriq.errors import (
     InvalidDensityOperatorError,
@@ -23,7 +23,7 @@ from metriq.hilbert import validate_metric
 from metriq.linalg import trace_norm
 from metriq.montecarlo import (
     SimulationRecord,
-    _attempts_for_successes,
+    _sampled_ratio,
     chained_success_probability,
     simulate_g_eta,
     simulate_pt,
@@ -275,13 +275,14 @@ class NoDraws:
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(1e-12, 1.0), n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
 def test_sampler_properties(p, n, seed):
-    total = _attempts_for_successes(RngStream(seed=seed), p, n)
+    total, ratio = _sampled_ratio(RngStream(seed=seed), p, n, 2.0)
     assert total >= n
-    assert _attempts_for_successes(RngStream(seed=seed), p, n) == total
-    assert _attempts_for_successes(RngStream(seed=seed), 1.0, n) == n
+    assert ratio == 2.0 * n / total
+    assert _sampled_ratio(RngStream(seed=seed), p, n, 2.0) == (total, ratio)
+    assert _sampled_ratio(RngStream(seed=seed), 1.0, n, 2.0) == (n, 2.0)
     # each success owns its slot, so a small block reproduces the one-shot draw
     with mock.patch.object(montecarlo, "_BLOCK", 7):
-        assert _attempts_for_successes(RngStream(seed=seed), p, n) == total
+        assert _sampled_ratio(RngStream(seed=seed), p, n, 2.0) == (total, ratio)
     if p < 1.0:
         assert total == reference_attempts(RngStream(seed=seed), p, n)
 
@@ -289,7 +290,7 @@ def test_sampler_properties(p, n, seed):
 def test_sampler_across_a_block_boundary():
     n = montecarlo._BLOCK + 3
     for p in (0.3, 1e-9):
-        got = _attempts_for_successes(RngStream(seed=5), p, n)
+        got, _ = _sampled_ratio(RngStream(seed=5), p, n, 1.0)
         assert got == reference_attempts(RngStream(seed=5), p, n)
 
 
@@ -297,12 +298,12 @@ def test_sampler_across_a_block_boundary():
 @given(p=st.floats(1e-300, 1.0), over=st.integers(0, 10**6))
 def test_sampler_budget_raises_before_any_draw(p, over):
     with pytest.raises(MetriqError, match="budget"):
-        _attempts_for_successes(NoDraws(), p, montecarlo._MAX_SUCCESSES + 1 + over)
+        _sampled_ratio(NoDraws(), p, montecarlo._MAX_SUCCESSES + 1 + over, 1.0)
     # the smallest count whose worst case could overflow int64
     n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) + over
     if 1 <= n <= montecarlo._MAX_SUCCESSES:
         with pytest.raises(MetriqError, match="2\\^63"):
-            _attempts_for_successes(NoDraws(), p, n)
+            _sampled_ratio(NoDraws(), p, n, 1.0)
 
 
 class LargestUniform:
@@ -318,7 +319,7 @@ def test_sampler_worst_case_inside_the_budget_fits_int64():
     assert worst <= 37.0 / p
     # the largest count that passes the overflow check, every draw at its maximum
     n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) - 1
-    total = _attempts_for_successes(LargestUniform(), p, n)
+    total, _ = _sampled_ratio(LargestUniform(), p, n, 1.0)
     assert total == n + n * worst
     assert total < 2**63
 
@@ -326,12 +327,12 @@ def test_sampler_worst_case_inside_the_budget_fits_int64():
 def test_sampler_rejects_vanishing_probability():
     for p in (0.0, -0.5, float("nan")):
         with pytest.raises(MetriqError):
-            _attempts_for_successes(NoDraws(), p, 10)
+            _sampled_ratio(NoDraws(), p, 10, 1.0)
 
 
 def test_sampler_mean_total_is_n_over_p():
     n, p, runs = 50, 0.01, 200
-    totals = [_attempts_for_successes(RngStream(seed=seed), p, n) for seed in range(runs)]
+    totals = [_sampled_ratio(RngStream(seed=seed), p, n, 1.0)[0] for seed in range(runs)]
     # a total is n plus n geometric failure counts of variance (1 - p)/p^2
     sigma = math.sqrt(n * (1.0 - p) / p**2 / runs)
     assert abs(np.mean(totals) - n / p) <= 5.0 * sigma
@@ -379,15 +380,17 @@ def test_only_rng_and_montecarlo_draw_uniforms():
 
 
 def test_only_sampled_ratio_draws_copies():
-    """Every success ratio is scale * n / copies from one helper."""
-    callers = set()
+    """Every success ratio is scale * n / copies from one helper, which alone reads the copy slots."""
+    readers = set()
     for path in pathlib.Path(montecarlo.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Name) and node.id == "_attempts_for_successes":
-                        callers.add(fn.name)
-    assert callers == {"_sampled_ratio"}
+                    # slots 0 .. n - 1 are the copy counts; branches start at slot n
+                    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_uniform_blocks"
+                            and not any(kw.arg == "start" for kw in node.keywords)):
+                        readers.add(fn.name)
+    assert readers == {"_sampled_ratio"}
 
 
 def test_near_singular_metric_finishes():
@@ -397,3 +400,27 @@ def test_near_singular_metric_finishes():
     sigma = math.sqrt((1.0 - 1e-9) / 2000)
     assert abs(rec.success_ratio / 1e-9 - 1.0) <= 5.0 * sigma
 
+
+
+# ---------------------------------------------------------------------------
+# the PT reversal gate
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.01, 10.0), phi=st.floats(0.01, math.pi / 2), gap=st.floats(-6.0, 1.0),
+       seed=st.integers(0, 2**32))
+@example(r=1.0, phi=math.pi / 6, gap=-6.0, seed=0)
+@example(r=3.0, phi=math.pi / 2, gap=-6.0, seed=1)
+def test_reversal_gate_on_eta2_inv_is_the_kappa_eta_inv_channel(r, phi, gap, seed):
+    # eta2^{-1}/||eta2^{-1}|| = kappa * eta2^{-1}, so the gate on eta2_inv is the
+    # Kraus operator sqrt(kappa) eta2^{-1/2}, up to s within 1e-6 of r sin(phi)
+    s = r * math.sin(phi) + 10.0**gap
+    sys = build_pt_system(PtHamiltonian(r=r, s=s, phi=phi))
+    psi = RngStream(seed=seed).haar_states(1, 2)[0]
+    rho = np.outer(psi, psi.conj())
+    state, prob, scale = montecarlo._gate(sys.eta2_inv, rho)
+    kappa, reversal = g_kappa_eta_inv(sys.eta2)
+    block = apply(reversal, rho)
+    assert np.max(np.abs(prob * state - block)) <= 1e-12
+    assert abs(prob - np.trace(block).real) <= 1e-12
+    assert scale == sys.eta2_inv.norm

@@ -87,3 +87,19 @@ def test_seed_masking():
     a = RngStream(2**64 + 3).uniforms(4)
     b = RngStream(3).uniforms(4)
     assert np.array_equal(a, b)
+
+
+def test_integer_finalizer_matches_the_python_int_form():
+    from metriq.rng import _MASK, _MIX_A, _MIX_B, _SALT_SEED, _SALT_STREAM, _mix64_int
+
+    # the finalizer as it was once written on Python integers
+    def reference(x):
+        z = x & _MASK
+        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
+        return (z ^ (z >> 31)) & _MASK
+
+    words = [int(w) for w in RngStream(17).words(1000)]
+    for x in [0, 2**64 - 1, _SALT_SEED, _SALT_STREAM, 2**64, 2**70 + 5, *words]:
+        got = _mix64_int(x)
+        assert type(got) is int and got == reference(x), x
