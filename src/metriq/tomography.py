@@ -402,11 +402,58 @@ def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
 
 
 _ORACLE_SEED = 0xB07E57A7E5
-_ORACLE_CHUNK = 1 << 17
-_ORACLE_MAX_SAMPLES = 3 * 10**7  # about 20 s at about 0.7 us per probe for d = 3
+_ORACLE_CHUNK = 1 << 14
+_ORACLE_MAX_SAMPLES = 31 * 10**6  # one map: about 20 s at about 0.63 us per probe for d = 3
+# a request's cost in evaluations of one map on one probe (a matmul column, a
+# bound and a trace norm, at most about 0.16 us for d = 3): drawing a probe and
+# forming its coordinates costs about 3 (0.47 us), and setting up a map about 1000
+_ORACLE_DRAW_COST = 3
+_ORACLE_MAP_COST = 1000
 
 
-def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SEED) -> float:
+def _oracle_cost(samples: int, maps: int) -> int:
+    return samples * (maps + _ORACLE_DRAW_COST) + maps * _ORACLE_MAP_COST
+
+
+def _herm2_trace_norm(x: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| of Hermitian 2x2 matrices given as (4, n) coordinates.
+
+    With diagonal a, b and off-diagonal c the eigenvalues are
+    (a + b)/2 +- r, r = sqrt(((a - b)/2)^2 + |c|^2), so the sum of their
+    absolute values is max(|a + b|, 2r).
+    """
+    a, b, re, im = x
+    half = (a - b) / 2.0
+    return np.maximum(np.abs(a + b), 2.0 * np.sqrt(half * half + re * re + im * im))
+
+
+def _herm_trace_norm(x: np.ndarray, d: int) -> np.ndarray:
+    """Sum of |eigenvalues| of Hermitian d x d matrices given as (d*d, n) coordinates."""
+    if d == 2:
+        return _herm2_trace_norm(x)
+    if d == 3:
+        return _herm3_trace_norm(x)
+    return np.abs(np.linalg.eigvalsh(_herm_from_coords(x.T, d))).sum(axis=1)
+
+
+def _map_stack(superop) -> np.ndarray:
+    """superop as a finite complex array: one 2-D map, or a nonempty stack of maps of one shape."""
+    try:
+        maps = np.asarray(superop, dtype=complex)
+    except ValueError as exc:
+        raise DimMismatchError(f"maps do not stack into one array: {exc}") from None
+    if maps.ndim not in (2, 3) or maps.size == 0:
+        raise DimMismatchError(
+            f"expected a d^2 x d^2 map or a nonempty (k, d^2, d^2) stack, got shape {maps.shape}"
+        )
+    if not np.all(np.isfinite(maps)):
+        raise MetriqError("matrix entries must be finite")
+    return maps
+
+
+def sampled_one_to_one(
+    superop, samples: int = 1_000_000, seed: int = _ORACLE_SEED
+) -> float | np.ndarray:
     """Brute-force statistical lower estimate of the (1->1) norm.
 
     Takes the max of ||Phi(|psi><psi|)||_tr over the Haar-random pure states
@@ -414,26 +461,43 @@ def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SE
     below as samples grow; used to cross-validate the iterative estimator,
     not to replace it.
 
+    superop is one d^2 x d^2 map, which returns a float, or a (k, d^2, d^2)
+    stack of maps, which returns an array of k maxima, each equal to the
+    value of its map alone (np.linalg's stacking convention). Every map sees
+    the same probes, and each chunk of them is drawn once for the stack.
+
     The trace norm only sees the Hermitian part of Phi(|psi><psi|), which is
     real-linear in |psi><psi|. So the work is done in real arithmetic on
     d*d coordinates (see _herm_coords): Phi, followed by taking the
-    Hermitian part, becomes one real d^2 x d^2 matrix built per call, each
-    chunk of probes is one real matmul, and for d = 3 the trace norm comes
-    from a closed form on the coordinates.
+    Hermitian part, becomes one real d^2 x d^2 matrix per map, each chunk of
+    probes is one real matmul per map, and for d = 2 and d = 3 the trace
+    norm comes from a closed form on the coordinates. Chunks hold
+    _ORACLE_CHUNK probes, so each temporary stays near 1 MB. A probe whose
+    bound sqrt(d) ||A||_F on the trace norm cannot beat its map's running
+    maximum skips the trace-norm kernel, which leaves every maximum as it
+    would be with the kernel run on every probe.
 
-    At most _ORACLE_MAX_SAMPLES = 3e7 probes, about 20 s for d = 3; a larger
-    request raises MetriqError before any probe is drawn.
+    A request may cost no more than one map with _ORACLE_MAX_SAMPLES = 3.1e7
+    probes (see _oracle_cost), about 20 s for d = 3 whatever k is; criterion
+    8's 120 maps at 1e6 probes fit. A larger request raises MetriqError
+    before any probe is drawn.
     """
-    lmap = as_matrix(superop)
-    d = _superop_dim(lmap)
+    maps = _map_stack(superop)
+    stack = maps.reshape((-1,) + maps.shape[-2:])
+    d = _superop_dim(stack[0])
     samples = _require_shot_count(samples, "samples")
-    if samples > _ORACLE_MAX_SAMPLES:
-        raise MetriqError(f"{samples} samples exceed the budget of {_ORACLE_MAX_SAMPLES} probes")
+    cost, budget = _oracle_cost(samples, len(stack)), _oracle_cost(_ORACLE_MAX_SAMPLES, 1)
+    if cost > budget:
+        raise MetriqError(
+            f"{samples} samples on {len(stack)} maps exceed the budget: they cost {cost} map "
+            f"evaluations, over the {budget} of {_ORACLE_MAX_SAMPLES} samples on one map"
+        )
+    basis = _herm_from_coords(np.eye(d * d), d)
     # row i holds the coordinates of the Hermitian part of Phi(basis_i)
-    herm_map = _herm_coords(_hermitian_image(lmap, _herm_from_coords(np.eye(d * d), d)))
+    herm_maps = [_herm_coords(_hermitian_image(lmap, basis)) for lmap in stack]
     j, k = np.triu_indices(d, 1)
     rng = RngStream(seed=seed)
-    best = 0.0
+    best = np.zeros(len(stack))
     done = 0
     while done < samples:
         count = min(_ORACLE_CHUNK, samples - done)
@@ -444,14 +508,20 @@ def sampled_one_to_one(superop, samples: int = 1_000_000, seed: int = _ORACLE_SE
         probes = np.concatenate(
             [re * re + im * im, re[j] * re[k] + im[j] * im[k], im[j] * re[k] - re[j] * im[k]]
         )
-        out = herm_map.T @ probes
-        if d == 3:
-            vals = _herm3_trace_norm(out)
-        else:
-            vals = np.abs(np.linalg.eigvalsh(_herm_from_coords(out.T, d))).sum(axis=1)
-        best = max(best, float(vals.max()))
+        for i, herm_map in enumerate(herm_maps):
+            out = herm_map.T @ probes
+            # ||A||_tr <= sqrt(d) ||A||_F, where off-diagonal coordinates count
+            # twice; the margin is far above the kernels' relative rounding of
+            # about 1e-12, so no skipped probe could win
+            diag, off = out[:d], out[d:]
+            frob2 = np.einsum("ij,ij->j", diag, diag) + 2.0 * np.einsum("ij,ij->j", off, off)
+            live = np.flatnonzero(np.sqrt(d * frob2) * (1.0 + 1e-9) >= best[i])
+            if len(live):
+                # no copy when every probe is live, as in the first chunk
+                live_out = out[:, live] if len(live) < count else out
+                best[i] = max(best[i], _herm_trace_norm(live_out, d).max())
         done += count
-    return best
+    return float(best[0]) if maps.ndim == 2 else best
 
 
 def threshold(eta: MetricOperator) -> float:

@@ -24,6 +24,7 @@ from metriq.linalg import hermitian_eig, trace_norm
 from metriq.rng import RngStream
 from metriq.tomography import (
     ReconstructedChannel,
+    _herm2_trace_norm,
     _herm3_trace_norm,
     _herm_coords,
     _hermitian_image,
@@ -670,6 +671,45 @@ def test_herm3_trace_norm_property(mat):
     assert abs(got - np.abs(lam).sum()) <= 1e-12 * max(1.0, np.abs(lam).max())
 
 
+@st.composite
+def _hard_hermitian2(draw):
+    """Hermitian 2x2 matrices with a near-degenerate pair, or a pair straddling zero."""
+    u = RngStream(seed=draw(st.integers(0, 2**32))).haar_unitary(2)
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    if draw(st.booleans()):
+        level = draw(st.floats(-1.0, 1.0))
+        lam = level + 10.0 ** draw(st.floats(-16.0, -6.0)) * np.array([-1.0, 1.0])
+    else:
+        # rank one when one side is exactly 0
+        below, above = (draw(st.just(0.0) | st.floats(-16.0, 0.0).map(lambda e: 10.0**e)) for _ in range(2))
+        lam = np.array([-below, above])
+    mat = (u * (scale * lam)) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hard_hermitian2())
+def test_herm2_trace_norm_property(mat):
+    lam = np.linalg.eigvalsh(mat)
+    got = _herm2_trace_norm(_herm_coords(mat[None]).T)[0]
+    assert abs(got - np.abs(lam).sum()) <= 1e-12 * max(1.0, np.abs(lam).max())
+
+
+def test_sampled_oracle_beyond_the_closed_forms_matches_direct_evaluation():
+    # d = 4 takes the batched eigvalsh path
+    from metriq.tomography import _ORACLE_SEED
+
+    rng = RngStream(seed=93)
+    phi = superoperator(kraus_channel([0.9 * rng.haar_unitary(4, start=0)])) - np.eye(16)
+    n = 500
+    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 4)
+    best = 0.0
+    for k in range(n):
+        out = (phi @ np.outer(psi[k], psi[k].conj()).reshape(-1)).reshape(4, 4)
+        best = max(best, trace_norm((out + out.conj().T) / 2))
+    assert abs(sampled_one_to_one(phi, samples=n) - best) < 1e-12
+
+
 def test_sampled_oracle_tracks_estimator_from_below():
     eta = validate_metric(ETA2)
     target = superoperator(embedded_metric_channel(eta))
@@ -716,15 +756,78 @@ def test_sampled_oracle_qubit_map_matches_direct_evaluation():
 
 
 def test_sampled_oracle_across_chunk_boundary():
-    from metriq.tomography import _ORACLE_SEED
+    from metriq.tomography import _ORACLE_CHUNK, _ORACLE_SEED
 
     eta = validate_metric(ETA2)
     phi = superoperator(embedded_metric_channel(eta)) - np.eye(9)
-    n = 2**17 + 3
+    n = _ORACLE_CHUNK + 3
     psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 3)
     out = (phi @ (psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, 9).T).T.reshape(n, 3, 3)
     best = np.abs(np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2)).sum(axis=1).max()
     assert abs(sampled_one_to_one(phi, samples=n) - best) < 1e-12
+
+
+def _dishonest_map():
+    """target - reconstruction of criterion 8's first exact dishonest game."""
+    eta = acceptance_metric(3000)
+    design = default_design()
+    responses = run_prover(acceptance_prover(4000), eta, design, 10, RngStream(seed=0), exact=True)
+    return superoperator(embedded_metric_channel(eta)) - reconstruct(responses, design).linear_map
+
+
+def test_sampled_oracle_maxima_do_not_depend_on_the_chunk(monkeypatch):
+    import metriq.tomography as tomography
+
+    maps = [superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9), _dishonest_map()]
+    n = 3 * 2**17 + 5
+    default = [sampled_one_to_one(phi, samples=n) for phi in maps]
+    monkeypatch.setattr(tomography, "_ORACLE_CHUNK", 1 << 17)
+    assert [sampled_one_to_one(phi, samples=n) for phi in maps] == default
+
+
+def test_sampled_oracle_max_is_the_kernel_on_every_probe():
+    # probes whose Frobenius bound cannot beat the running max skip the kernel;
+    # the max is still that of the kernel on every probe, bit for bit
+    from metriq.tomography import _ORACLE_CHUNK, _ORACLE_SEED, _herm_from_coords
+
+    n = 3 * _ORACLE_CHUNK + 7
+    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 3)
+    j, k = np.triu_indices(3, 1)
+    re, im = psi.real.T, psi.imag.T
+    probes = np.concatenate([re * re + im * im, re[j] * re[k] + im[j] * im[k], im[j] * re[k] - re[j] * im[k]])
+    basis = _herm_from_coords(np.eye(9), 3)
+    # rho -> (tr rho + 1e-6 rho_00) I attains the bound on every probe, and its
+    # running max grows by much less than 1e-6 after the first chunk
+    eye = np.eye(3).reshape(-1)
+    tight = np.outer(eye, eye + 1e-6 * np.eye(9)[0])
+    for phi in (superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9), _dishonest_map(), tight):
+        herm_map = _herm_coords(_hermitian_image(phi, basis))
+        assert sampled_one_to_one(phi, samples=n) == _herm3_trace_norm(herm_map.T @ probes).max()
+
+
+def test_sampled_oracle_on_a_stack_of_maps():
+    rng = RngStream(seed=92)
+    maps = [_dishonest_map(), superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9)]
+    maps += [superoperator(kraus_channel([rng.haar_unitary(3, start=50 * j)])) - np.eye(9) for j in range(3)]
+    single = [sampled_one_to_one(phi, samples=40_000) for phi in maps]
+    assert all(type(value) is float for value in single)
+    stacked = sampled_one_to_one(np.stack(maps), samples=40_000)
+    assert stacked.shape == (5,)
+    assert stacked.tolist() == single
+    # a list of maps is the same stack, and a one-map stack keeps its array form
+    assert sampled_one_to_one(maps, samples=40_000).tolist() == single
+    assert sampled_one_to_one(maps[:1], samples=40_000).tolist() == single[:1]
+
+    with pytest.raises(DimMismatchError, match=re.escape("(0, 9, 9)")):
+        sampled_one_to_one(np.zeros((0, 9, 9)), samples=10)
+    with pytest.raises(DimMismatchError, match=re.escape("(2,)")):
+        sampled_one_to_one([np.eye(9), np.eye(4)], samples=10)
+    with pytest.raises(DimMismatchError, match=re.escape("(9, 4)")):
+        sampled_one_to_one(np.zeros((2, 9, 4)), samples=10)
+    with pytest.raises(DimMismatchError, match=re.escape("(2, 2, 9, 9)")):
+        sampled_one_to_one(np.zeros((2, 2, 9, 9)), samples=10)
+    with pytest.raises(MetriqError, match="finite"):
+        sampled_one_to_one(np.stack([np.eye(9), np.full((9, 9), np.nan)]), samples=10)
 
 
 def test_sampled_oracle_rejects_zero_samples():
@@ -748,6 +851,17 @@ def test_sampled_oracle_budget_is_checked_before_any_probe(monkeypatch):
     for samples in (_ORACLE_MAX_SAMPLES + 1, 2**70):
         with pytest.raises(MetriqError, match="budget"):
             sampled_one_to_one(np.eye(9), samples=samples)
+
+    # a request the budget accepts reaches the first draw
+    criterion_8 = np.broadcast_to(np.eye(9), (120, 9, 9))
+    for maps, samples in ((np.eye(9), 3 * 10**7), (criterion_8, 10**6)):
+        with pytest.raises(AssertionError, match="a probe was drawn"):
+            sampled_one_to_one(maps, samples=samples)
+    # a stack shares the budget, and each map costs something however few the probes
+    many = np.broadcast_to(np.eye(9, dtype=complex), (2 * 10**5, 9, 9))
+    for maps, samples in ((criterion_8, 2 * 10**6), (criterion_8[:2], _ORACLE_MAX_SAMPLES), (many, 1)):
+        with pytest.raises(MetriqError, match=f"{samples} samples on {len(maps)} maps exceed the budget"):
+            sampled_one_to_one(maps, samples=samples)
 
 
 # ---------------------------------------------------------------------------
