@@ -23,6 +23,7 @@ from .errors import (
     NotSquareError,
     SingularDesignError,
     SupernormalizedError,
+    UncertifiedAcceptWarning,
 )
 from .linalg import (
     HermitianEigensystem,

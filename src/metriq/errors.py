@@ -2,7 +2,8 @@
 
 Everything derives from MetriqError so callers can catch domain failures
 with a single except clause while I/O and usage errors stay separate.
-Warnings flag results that are returned but not known to be converged.
+Warnings flag results that are returned but not known to be converged or
+certified.
 """
 
 
@@ -64,3 +65,7 @@ class DegenerateMetricError(MetriqError):
 
 class IterationCapWarning(UserWarning):
     """An iterative estimator stopped at its iteration cap before converging."""
+
+
+class UncertifiedAcceptWarning(UserWarning):
+    """An accept whose distance an upper bound on the norm does not certify."""

@@ -15,9 +15,11 @@ a sampled game, whose draws montecarlo makes.
 The (1->1) norm of a Hermiticity-preserving map is attained on pure states,
 and for a fixed input the trace norm is linear in the dual observable; the
 estimator below alternates between the optimal observable for the current
-state and the optimal state for the current observable, from many
-deterministic starting points, and never returns less than the analytic
-floor ||Phi(I/d)||_tr.
+state and the optimal state for the current observable, with extrapolated
+steps from a few deterministic starting points, and never returns less than
+the analytic floor ||Phi(I/d)||_tr. Its value is attained, so it bounds the
+norm from below; the Choi-matrix bound bounds it from above and certifies
+an accept.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
     IterationCapWarning,
     MetriqError,
     SingularDesignError,
+    UncertifiedAcceptWarning,
 )
 from .hilbert import MetricOperator, _require_subidentity, validate_density
 from .linalg import as_matrix, hermitian_eig, trace_norm
@@ -46,7 +49,8 @@ from .montecarlo import _branch_counts, _gate, _require_shot_count, _sampled_rat
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
-_NORM_STARTS = 64
+_NORM_STARTS = 8
+_NORM_STEPS = np.array([1.0, 2.0, 4.0])
 _NORM_SEED = 0x315A7C0FFEE
 _NORM_TOL = 1e-8
 _NORM_MAX_ITERS = 150
@@ -215,8 +219,7 @@ class ReconstructedChannel:
     def choi(self) -> ChoiMatrix:
         """Eigenvalue-clipped PSD Choi matrix, computed on first read."""
         d = _superop_dim(self.linear_map)
-        choi_raw = _choi_reshuffle(self.linear_map, d, d)
-        choi_h = (choi_raw + choi_raw.conj().T) / 2.0
+        choi_h = _hermitian_choi(self.linear_map, d)
         eig = hermitian_eig(choi_h)
         if eig.eigenvalues[0] < -1e-8:
             choi_h = eig.map(lambda lam: np.clip(lam, 0.0, None))
@@ -260,6 +263,12 @@ def _superop_dim(superop: np.ndarray) -> int:
     return d
 
 
+def _hermitian_choi(lmap: np.ndarray, d: int) -> np.ndarray:
+    """Choi matrix C[(i,a),(j,b)] of the Hermitian part of the map, input index first."""
+    choi = _choi_reshuffle(lmap, d, d)
+    return (choi + choi.conj().T) / 2.0
+
+
 def _hermitian_image(lmap: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Hermitian part of the map applied to each matrix of the batch x."""
     k, d, _ = x.shape
@@ -270,17 +279,25 @@ def _hermitian_image(lmap: np.ndarray, x: np.ndarray) -> np.ndarray:
 def one_to_one_norm(superop) -> float:
     """max over pure states of ||Phi(|psi><psi|)||_tr for Hermiticity-preserving Phi.
 
-    Alternating maximization from 64 deterministic Haar starts. Each round
-    picks the optimal trace-norm observable S = sign(Phi(psi psi*)) and then
-    the best state for S, which is the top eigenvector of the pulled-back
-    observable; the objective is nondecreasing, and iteration stops when
-    the start with the largest objective is first-order stationary within
-    1e-8, whether or not the others are. The returned value is the largest
+    Extrapolated alternating maximization from 8 deterministic Haar starts.
+    Each round picks the optimal trace-norm observable S = sign(Phi(psi psi*))
+    and then psi', the best state for S, which is the top eigenvector of the
+    pulled-back observable. With psi' phased so that <psi|psi'> >= 0, the
+    next iterate is the best of psi + beta (psi' - psi), normalized, over
+    beta in {1, 2, 4}; beta = 1 is the plain alternating step, so the
+    objective is nondecreasing, and the longer steps cut the iterations the
+    plain step needs where it converges slowly. Iteration stops when the
+    start with the largest objective is first-order stationary within 1e-8,
+    whether or not the others are. The returned value is the largest
     objective over all starts at the last iterate, floored at
     ||Phi(I/d)||_tr, which the maximum always dominates. Reaching the
     150-iteration cap first keeps the objective at the last iterate and
     issues an IterationCapWarning naming the best start's stationarity
     residual, so the warning means that start itself did not converge.
+
+    The value is attained by a state, so it is a lower bound on the norm:
+    a distance above a threshold is a sound reject. verify certifies an
+    accept with the upper bound of _choi_bound.
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
@@ -291,17 +308,9 @@ def one_to_one_norm(superop) -> float:
     rng = RngStream(seed=_NORM_SEED)
     psi = rng.haar_states(_NORM_STARTS, d)
     adjoint = lmap.conj().T
+    lam, vec = np.linalg.eigh(_hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :]))
 
-    for it in range(_NORM_MAX_ITERS + 1):
-        a = _hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :])
-        if it == _NORM_MAX_ITERS:
-            # iteration cap: only the objective at the last iterate is left
-            lam = np.linalg.eigvalsh(a)
-            warnings.warn(
-                f"one_to_one_norm hit its {it}-iteration cap; best start's stationarity residual "
-                f"{resid[best]:.3g} > {_NORM_TOL:g}", IterationCapWarning, stacklevel=2)
-            break
-        lam, vec = np.linalg.eigh(a)
+    for _ in range(_NORM_MAX_ITERS):
         s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
         m = _hermitian_image(adjoint, s)
 
@@ -311,10 +320,41 @@ def one_to_one_norm(superop) -> float:
         best = np.argmax(np.abs(lam).sum(axis=1))
         if resid[best] <= _NORM_TOL:
             break
-        psi = np.linalg.eigh(m)[1][:, :, -1]
+        top = np.linalg.eigh(m)[1][:, :, -1]
+        top *= np.exp(-1j * np.angle(np.einsum("ka,ka->k", psi.conj(), top)))[:, None]
+        # (start, beta) candidates; each has norm >= 1, as <psi|psi'> >= 0
+        cand = psi[:, None, :] + _NORM_STEPS[:, None] * (top - psi)[:, None, :]
+        cand = (cand / np.linalg.norm(cand, axis=2, keepdims=True)).reshape(-1, d)
+        lam_c, vec_c = np.linalg.eigh(_hermitian_image(lmap, cand[:, :, None] * cand.conj()[:, None, :]))
+        pick = np.arange(len(psi)) * len(_NORM_STEPS) + np.argmax(
+            np.abs(lam_c).sum(axis=1).reshape(len(psi), -1), axis=1)
+        psi, lam, vec = cand[pick], lam_c[pick], vec_c[pick]
+    else:
+        # iteration cap: only the objective at the last iterate is left
+        warnings.warn(
+            f"one_to_one_norm hit its {_NORM_MAX_ITERS}-iteration cap; best start's stationarity "
+            f"residual {resid[best]:.3g} > {_NORM_TOL:g}", IterationCapWarning, stacklevel=2)
 
     values = np.abs(lam).sum(axis=1)
     return float(max(values.max(), floor))
+
+
+def _choi_bound(superop) -> float:
+    """U = lambda_max(Tr_out |J|) >= ||Phi||_{1->1}, J the Choi matrix of Phi's Hermitian part.
+
+    With J = P - N split into positive and negative parts, Phi's Hermitian
+    part is the difference of two completely positive maps, so for a state
+    rho ||Phi(rho)||_tr <= tr(rho^T Tr_out(P + N)) <= U: the Choi-matrix
+    bound on the completely bounded trace norm (Watrous, The Theory of
+    Quantum Information, 2018, ch. 3). J puts the input index first, so
+    the output trace is the einsum "iaja->ij"; tracing out the input
+    instead gives no bound.
+    """
+    lmap = as_matrix(superop)
+    d = _superop_dim(lmap)
+    lam, vec = np.linalg.eigh(_hermitian_choi(lmap, d))
+    absolute = (vec * np.abs(lam)) @ vec.conj().T
+    return float(np.linalg.eigvalsh(np.einsum("iaja->ij", absolute.reshape(d, d, d, d)))[-1])
 
 
 def _herm_coords(a: np.ndarray) -> np.ndarray:
@@ -404,15 +444,20 @@ def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
 _ORACLE_SEED = 0xB07E57A7E5
 _ORACLE_CHUNK = 1 << 14
 _ORACLE_MAX_SAMPLES = 31 * 10**6  # one map: about 20 s at about 0.63 us per probe for d = 3
-# a request's cost in evaluations of one map on one probe (a matmul column, a
-# bound and a trace norm, at most about 0.16 us for d = 3): drawing a probe and
+# a request's cost in evaluations of one d = 3 map on one probe (a matmul
+# column, a bound and a trace norm, at most about 0.16 us): drawing a probe and
 # forming its coordinates costs about 3 (0.47 us), and setting up a map about 1000
 _ORACLE_DRAW_COST = 3
 _ORACLE_MAP_COST = 1000
 
 
-def _oracle_cost(samples: int, maps: int) -> int:
-    return samples * (maps + _ORACLE_DRAW_COST) + maps * _ORACLE_MAP_COST
+def _oracle_cost(samples: int, maps: int, d: int) -> int:
+    # d > 3 has no closed-form trace norm: the batched eigvalsh took at most
+    # 0.2 d^2 us per probe for 4 <= d <= 16 (identity maps, so no probe skipped
+    # it; one BLAS thread), charged with a 1.5x margin as 2 d^2 evaluations,
+    # and d^3 / 4 takes over past d = 8 for eigvalsh's O(d^3)
+    per_eval = 1 if d <= 3 else max(2 * d * d, d**3 // 4)
+    return samples * (maps * per_eval + _ORACLE_DRAW_COST) + maps * _ORACLE_MAP_COST
 
 
 def _herm2_trace_norm(x: np.ndarray) -> np.ndarray:
@@ -477,16 +522,17 @@ def sampled_one_to_one(
     maximum skips the trace-norm kernel, which leaves every maximum as it
     would be with the kernel run on every probe.
 
-    A request may cost no more than one map with _ORACLE_MAX_SAMPLES = 3.1e7
-    probes (see _oracle_cost), about 20 s for d = 3 whatever k is; criterion
-    8's 120 maps at 1e6 probes fit. A larger request raises MetriqError
-    before any probe is drawn.
+    A request may cost no more than one d = 3 map with _ORACLE_MAX_SAMPLES
+    = 3.1e7 probes (see _oracle_cost), at most about 20 s whatever k and d
+    are; criterion 8's 120 maps at 1e6 probes fit. For d > 3 each probe on
+    each map costs more, so fewer are accepted. A larger request raises
+    MetriqError before any probe is drawn.
     """
     maps = _map_stack(superop)
     stack = maps.reshape((-1,) + maps.shape[-2:])
     d = _superop_dim(stack[0])
     samples = _require_shot_count(samples, "samples")
-    cost, budget = _oracle_cost(samples, len(stack)), _oracle_cost(_ORACLE_MAX_SAMPLES, 1)
+    cost, budget = _oracle_cost(samples, len(stack), d), _oracle_cost(_ORACLE_MAX_SAMPLES, 1, 3)
     if cost > budget:
         raise MetriqError(
             f"{samples} samples on {len(stack)} maps exceed the budget: they cost {cost} map "
@@ -554,14 +600,27 @@ class VerificationReport:
 
 
 def verify(eta: MetricOperator, recon: ReconstructedChannel) -> VerificationReport:
-    """Compare the reconstruction to the target channel and decide."""
+    """Compare the reconstruction to the target channel and decide.
+
+    The distance is one_to_one_norm's lower estimate, so a reject is sound.
+    An accept is certified when the Choi bound, an upper bound on the
+    norm, is within the threshold too; an accept it does not certify stays
+    an accept and issues an UncertifiedAcceptWarning.
+    """
     th = threshold(eta)
     target = superoperator(embedded_metric_channel(eta))
     if recon.linear_map.shape != target.shape:
         raise DimMismatchError(
             f"reconstruction shape {recon.linear_map.shape} != {target.shape}"
         )
-    distance = one_to_one_norm(target - recon.linear_map)
+    phi = target - recon.linear_map
+    distance = one_to_one_norm(phi)
+    if distance <= th:
+        bound = _choi_bound(phi)
+        if bound > th:
+            warnings.warn(
+                f"accept at distance {distance:.6g} is not certified: the Choi bound {bound:.6g} "
+                f"exceeds the threshold {th:.6g}", UncertifiedAcceptWarning, stacklevel=2)
     lam = eta.eig.eigenvalues
     return VerificationReport(
         distance=distance,

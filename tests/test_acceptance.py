@@ -7,6 +7,7 @@ emitted either way. All sampling is seeded; reruns are bit-identical.
 
 import math
 import time
+import warnings
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from metriq import (
     simulate_pt,
     superoperator,
     u_pt,
+    UncertifiedAcceptWarning,
     validate_metric,
     verify,
 )
@@ -280,12 +282,18 @@ def test_criterion_8_verification_soundness():
     eta2 = validate_metric(ETA2)
     target2 = superoperator(embedded_metric_channel(eta2))
     accepts = 0
+    certified = 0
     max_honest_distance = 0.0
     for seed in range(20):
         responses = run_prover(honest_prover(), eta2, design, 100_000, RngStream(seed=seed))
         recon = reconstruct(responses, design, shots_per_input=100_000)
-        report = verify(eta2, recon)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UncertifiedAcceptWarning)
+            report = verify(eta2, recon)
         accepts += report.verdict == "accept"
+        certified += report.verdict == "accept" and not any(
+            issubclass(w.category, UncertifiedAcceptWarning) for w in caught
+        )
         max_honest_distance = max(max_honest_distance, report.distance)
         maps.append(target2 - recon.linear_map)
         distances.append(report.distance)
@@ -303,6 +311,7 @@ def test_criterion_8_verification_soundness():
         rejects == 100
         and min_margin >= -1e-8
         and accepts == 20
+        and certified == 20
         and oracle_overshoot <= 1e-4
         and elapsed < 300.0
     )
@@ -310,7 +319,8 @@ def test_criterion_8_verification_soundness():
         8,
         ok,
         f"dishonest rejects {rejects}/100 (min distance-threshold margin {min_margin:.4f}), "
-        f"honest accepts {accepts}/20 (max distance {max_honest_distance:.4f}); oracle on all "
+        f"honest accepts {accepts}/20, certified {certified}/20 (max distance "
+        f"{max_honest_distance:.4f}); oracle on all "
         f"120 maps: overshoot {oracle_overshoot:.3e} (tol 1e-4), sampling deficit "
         f"{oracle_deficit:.3e}, {elapsed:.1f}s",
     )

@@ -419,6 +419,20 @@ def test_verify_honest_accepts_with_exit_zero(tmp_path):
     assert blob["eta_eigenvalues"][0] >= blob["eta_eigenvalues"][1]
 
 
+def test_verify_uncertified_accept_keeps_its_verdict_and_stdout(tmp_path, monkeypatch):
+    from metriq import UncertifiedAcceptWarning, tomography
+
+    cfg = write_json(
+        tmp_path / "v.json",
+        {"metric": ETA2_JSON, "prover": "honest", "shots": 3000, "seed": 3},
+    )
+    certified = run_main("verify", "--config", cfg)
+    monkeypatch.setattr(tomography, "_choi_bound", lambda superop: math.inf)
+    with pytest.warns(UncertifiedAcceptWarning, match="not certified"):
+        uncertified = run_main("verify", "--config", cfg)
+    assert (uncertified.returncode, uncertified.stdout) == (0, certified.stdout)
+
+
 def test_verify_dishonest_rejects_with_exit_one(tmp_path):
     cfg = write_json(
         tmp_path / "v.json",

@@ -18,15 +18,18 @@ from metriq.errors import (
     MetricExceedsIdentityError,
     MetriqError,
     SingularDesignError,
+    UncertifiedAcceptWarning,
 )
 from metriq.hilbert import validate_metric
 from metriq.linalg import hermitian_eig, trace_norm
 from metriq.rng import RngStream
 from metriq.tomography import (
     ReconstructedChannel,
+    _choi_bound,
     _herm2_trace_norm,
     _herm3_trace_norm,
     _herm_coords,
+    _hermitian_choi,
     _hermitian_image,
     default_design,
     dishonest_prover,
@@ -567,6 +570,7 @@ def test_norm_does_not_warn_on_the_readme_verify_map():
         responses = run_prover(model, eta, design, shots, RngStream(seed=seed))
         with warnings.catch_warnings():
             warnings.simplefilter("error", IterationCapWarning)
+            warnings.simplefilter("error", UncertifiedAcceptWarning)
             report = verify(eta, reconstruct(responses, design, shots_per_input=shots))
         assert report.verdict == verdict
 
@@ -574,20 +578,50 @@ def test_norm_does_not_warn_on_the_readme_verify_map():
 def _all_starts_norm(superop):
     """The estimator with the earlier stopping rule, every start stationary.
 
-    Returns the norm and, if the loop reached its cap, the best start's
-    residual at the last iteration that formed residuals (else None).
+    The same 8 starts and extrapolated step as one_to_one_norm, so only the
+    stopping rule differs. Returns the norm and, if the loop reached its
+    cap, the best start's residual at the last iteration (else None).
     """
+    lmap = np.asarray(superop, dtype=complex)
+    d = math.isqrt(lmap.shape[0])
+    eye_vec = (np.eye(d, dtype=complex) / d).reshape(-1)
+    floor = trace_norm((lmap @ eye_vec).reshape(d, d))
+    psi = RngStream(seed=0x315A7C0FFEE).haar_states(8, d)
+    adjoint = lmap.conj().T
+    steps = np.array([1.0, 2.0, 4.0])
+    lam, vec = np.linalg.eigh(_hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :]))
+    best_resid = None
+    for _ in range(150):
+        s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        m = _hermitian_image(adjoint, s)
+        grad = np.einsum("kab,kb->ka", m, psi)
+        rayleigh = np.einsum("ka,ka->k", psi.conj(), grad).real
+        resid = np.linalg.norm(grad - rayleigh[:, None] * psi, axis=1)
+        if np.max(resid) <= 1e-8:
+            best_resid = None
+            break
+        best_resid = resid[np.argmax(np.abs(lam).sum(axis=1))]
+        top = np.linalg.eigh(m)[1][:, :, -1]
+        top *= np.exp(-1j * np.angle(np.einsum("ka,ka->k", psi.conj(), top)))[:, None]
+        cand = psi[:, None, :] + steps[:, None] * (top - psi)[:, None, :]
+        cand = (cand / np.linalg.norm(cand, axis=2, keepdims=True)).reshape(-1, d)
+        lam_c, vec_c = np.linalg.eigh(_hermitian_image(lmap, cand[:, :, None] * cand.conj()[:, None, :]))
+        pick = np.arange(len(psi)) * 3 + np.argmax(np.abs(lam_c).sum(axis=1).reshape(len(psi), 3), axis=1)
+        psi, lam, vec = cand[pick], lam_c[pick], vec_c[pick]
+    return float(max(np.abs(lam).sum(axis=1).max(), floor)), best_resid
+
+
+def _plain_64_start_norm(superop):
+    """The earlier estimator: 64 starts, the plain alternating step, every start stationary."""
     lmap = np.asarray(superop, dtype=complex)
     d = math.isqrt(lmap.shape[0])
     eye_vec = (np.eye(d, dtype=complex) / d).reshape(-1)
     floor = trace_norm((lmap @ eye_vec).reshape(d, d))
     psi = RngStream(seed=0x315A7C0FFEE).haar_states(64, d)
     adjoint = lmap.conj().T
-    best_resid = None
     for it in range(151):
         a = _hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :])
         if it == 150:
-            best_resid = resid[np.argmax(np.abs(lam).sum(axis=1))]
             lam = np.linalg.eigvalsh(a)
             break
         lam, vec = np.linalg.eigh(a)
@@ -599,11 +633,11 @@ def _all_starts_norm(superop):
         if np.max(resid) <= 1e-8:
             break
         psi = np.linalg.eigh(m)[1][:, :, -1]
-    return float(max(np.abs(lam).sum(axis=1).max(), floor)), best_resid
+    return float(max(np.abs(lam).sum(axis=1).max(), floor))
 
 
-def test_best_start_rule_matches_the_all_starts_rule():
-    # criterion 8's first 25 exact dishonest maps and 5 honest maps at 1e4 shots
+def _stopping_rule_cases():
+    """Criterion 8's first 25 exact dishonest maps and 5 honest maps at 1e4 shots, with thresholds."""
     design = default_design()
     cases = []
     for m in range(5):
@@ -618,13 +652,86 @@ def test_best_start_rule_matches_the_all_starts_rule():
     for seed in range(5):
         responses = run_prover(honest_prover(), eta, design, 10_000, RngStream(seed=seed))
         cases.append((target - reconstruct(responses, design).linear_map, threshold(eta)))
+    return cases
+
+
+def test_best_start_rule_matches_the_all_starts_rule():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IterationCapWarning)
-        for phi, th in cases:
+        for phi, th in _stopping_rule_cases():
             ref, _ = _all_starts_norm(phi)
             value = one_to_one_norm(phi)
             assert ref - 1e-9 <= value <= ref + 1e-12
             assert (value <= th) == (ref <= th)
+
+
+def test_estimator_does_not_fall_below_the_64_start_value():
+    # 8 extrapolated starts reach at least what 64 plain ones did
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IterationCapWarning)
+        for phi, _ in _stopping_rule_cases():
+            assert one_to_one_norm(phi) >= _plain_64_start_norm(phi) - 1e-12
+
+
+def random_kraus_map(seed, count):
+    """Superoperator of a random channel: count Kraus operators cut from a Haar unitary."""
+    u = RngStream(seed=seed).haar_unitary(3 * count)
+    return superoperator(kraus_channel([u[3 * j : 3 * j + 3, :3] for j in range(count)]))
+
+
+def _input_trace_bound(superop):
+    """_choi_bound with the input traced out instead of the output: no bound."""
+    lam, vec = np.linalg.eigh(_hermitian_choi(np.asarray(superop, dtype=complex), 3))
+    absolute = (vec * np.abs(lam)) @ vec.conj().T
+    return np.linalg.eigvalsh(np.einsum("aiaj->ij", absolute.reshape(3, 3, 3, 3)))[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+)
+def test_choi_bound_dominates_the_estimator_and_the_oracle(seed1, seed2, count1, count2, a, b):
+    phi = a * random_kraus_map(seed1, count1) - b * random_kraus_map(seed2, count2)
+    bound = _choi_bound(phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IterationCapWarning)
+        assert bound >= one_to_one_norm(phi) - 1e-12
+    assert bound >= sampled_one_to_one(phi, samples=10_000) - 1e-12
+
+
+def test_choi_bound_is_one_on_a_trace_preserving_channel():
+    for seed, count in ((1, 1), (2, 2), (3, 3)):
+        assert abs(_choi_bound(random_kraus_map(seed, count)) - 1.0) < 1e-12
+    assert abs(_choi_bound(np.eye(9)) - 1.0) < 1e-12
+
+
+def test_choi_bound_traces_out_the_output():
+    # tracing out the input instead falls below the estimator's attained value
+    phi = random_kraus_map(19, 3) - random_kraus_map(1019, 1)
+    value = one_to_one_norm(phi)
+    assert _input_trace_bound(phi) < value - 0.01
+    assert _choi_bound(phi) >= value
+
+
+def test_uncertified_accept_warns_and_stays_an_accept():
+    eta = validate_metric(ETA2)
+    design = default_design()
+    target = superoperator(embedded_metric_channel(eta))
+    th = threshold(eta)
+    responses = run_prover(honest_prover(), eta, design, 1000, RngStream(seed=4))
+    phi = target - reconstruct(responses, design).linear_map
+    # scaled to just inside the threshold, where the bound is above it
+    phi *= 0.99 * th / one_to_one_norm(phi)
+    assert _choi_bound(phi) > th
+    with pytest.warns(UncertifiedAcceptWarning, match="not certified: the Choi bound"):
+        report = verify(eta, ReconstructedChannel(linear_map=target - phi, shots_per_input=1000))
+    assert report.verdict == "accept"
+    assert abs(report.distance - 0.99 * th) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +958,14 @@ def test_sampled_oracle_budget_is_checked_before_any_probe(monkeypatch):
     for samples in (_ORACLE_MAX_SAMPLES + 1, 2**70):
         with pytest.raises(MetriqError, match="budget"):
             sampled_one_to_one(np.eye(9), samples=samples)
+    # a probe costs more past the closed forms: a third of the d = 3 limit is too much for d = 4
+    with pytest.raises(MetriqError, match="10000000 samples on 1 maps exceed the budget"):
+        sampled_one_to_one(np.eye(16), samples=10**7)
 
     # a request the budget accepts reaches the first draw
     criterion_8 = np.broadcast_to(np.eye(9), (120, 9, 9))
-    for maps, samples in ((np.eye(9), 3 * 10**7), (criterion_8, 10**6)):
+    accepted = ((np.eye(9), 3 * 10**7), (criterion_8, 10**6), (np.eye(16), 3 * 10**6), (np.eye(81), 6 * 10**5))
+    for maps, samples in accepted:
         with pytest.raises(AssertionError, match="a probe was drawn"):
             sampled_one_to_one(maps, samples=samples)
     # a stack shares the budget, and each map costs something however few the probes
