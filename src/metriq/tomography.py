@@ -452,31 +452,26 @@ _ORACLE_MAP_COST = 1000
 
 
 def _oracle_cost(samples: int, maps: int, d: int) -> int:
-    # d > 3 has no closed-form trace norm: the batched eigvalsh took at most
-    # 0.2 d^2 us per probe for 4 <= d <= 16 (identity maps, so no probe skipped
-    # it; one BLAS thread), charged with a 1.5x margin as 2 d^2 evaluations,
-    # and d^3 / 4 takes over past d = 8 for eigvalsh's O(d^3)
+    # a padded qubit probe costs less than a qutrit one (0.46-0.52 against
+    # 0.63-0.65 us per identity probe, draw included). d > 3 has no closed form:
+    # the batched eigvalsh took at most 0.2 d^2 us per probe for 4 <= d <= 16
+    # (identity maps, so no probe skipped it; one BLAS thread), charged with a
+    # 1.5x margin as 2 d^2 evaluations, and d^3 / 4 takes over past d = 8 for
+    # eigvalsh's O(d^3)
     per_eval = 1 if d <= 3 else max(2 * d * d, d**3 // 4)
     return samples * (maps * per_eval + _ORACLE_DRAW_COST) + maps * _ORACLE_MAP_COST
 
 
-def _herm2_trace_norm(x: np.ndarray) -> np.ndarray:
-    """Sum of |eigenvalues| of Hermitian 2x2 matrices given as (4, n) coordinates.
-
-    With diagonal a, b and off-diagonal c the eigenvalues are
-    (a + b)/2 +- r, r = sqrt(((a - b)/2)^2 + |c|^2), so the sum of their
-    absolute values is max(|a + b|, 2r).
-    """
-    a, b, re, im = x
-    half = (a - b) / 2.0
-    return np.maximum(np.abs(a + b), 2.0 * np.sqrt(half * half + re * re + im * im))
-
-
 def _herm_trace_norm(x: np.ndarray, d: int) -> np.ndarray:
     """Sum of |eigenvalues| of Hermitian d x d matrices given as (d*d, n) coordinates."""
-    if d == 2:
-        return _herm2_trace_norm(x)
-    if d == 3:
+    if d < 3:
+        # A is the qutrit matrix A + 0 (direct sum), whose added eigenvalues are
+        # 0; its diagonal and (0, 1) entry fill qutrit coordinates 0, 1, 3 and 6
+        padded = [0.0] * 9
+        for slot, row in zip((0, 1, 3, 6), x):
+            padded[slot] = row
+        x = padded
+    if d <= 3:
         return _herm3_trace_norm(x)
     return np.abs(np.linalg.eigvalsh(_herm_from_coords(x.T, d))).sum(axis=1)
 
@@ -515,12 +510,13 @@ def sampled_one_to_one(
     real-linear in |psi><psi|. So the work is done in real arithmetic on
     d*d coordinates (see _herm_coords): Phi, followed by taking the
     Hermitian part, becomes one real d^2 x d^2 matrix per map, each chunk of
-    probes is one real matmul per map, and for d = 2 and d = 3 the trace
-    norm comes from a closed form on the coordinates. Chunks hold
-    _ORACLE_CHUNK probes, so each temporary stays near 1 MB. A probe whose
-    bound sqrt(d) ||A||_F on the trace norm cannot beat its map's running
-    maximum skips the trace-norm kernel, which leaves every maximum as it
-    would be with the kernel run on every probe.
+    probes is one real matmul per map, and for d <= 3 the trace norm comes
+    from the qutrit closed form on the coordinates. A chunk holds
+    min(_ORACLE_CHUNK, 9 _ORACLE_CHUNK / d^2) probes, so each temporary
+    stays near 1 MB at every d. A probe whose bound sqrt(d) ||A||_F on the
+    trace norm cannot beat its map's running maximum skips the trace-norm
+    kernel, which leaves every maximum as it would be with the kernel run on
+    every probe.
 
     A request may cost no more than one d = 3 map with _ORACLE_MAX_SAMPLES
     = 3.1e7 probes (see _oracle_cost), at most about 20 s whatever k and d
@@ -543,10 +539,11 @@ def sampled_one_to_one(
     herm_maps = [_herm_coords(_hermitian_image(lmap, basis)) for lmap in stack]
     j, k = np.triu_indices(d, 1)
     rng = RngStream(seed=seed)
+    chunk = min(_ORACLE_CHUNK, 9 * _ORACLE_CHUNK // (d * d))
     best = np.zeros(len(stack))
     done = 0
     while done < samples:
-        count = min(_ORACLE_CHUNK, samples - done)
+        count = min(chunk, samples - done)
         psi = rng.haar_states(count, d, start=2 * d * done)
         re = psi.real.T
         im = psi.imag.T

@@ -40,7 +40,6 @@ from metriq import (
 from metriq.dilation import embed
 from metriq.linalg import matrix_exp_hermitian_generator, operator_norm, trace_norm
 from metriq.rng import RngStream
-from metriq.ptsym import PtSystem
 
 ETA2 = np.array([[0.8, -0.2j], [0.2j, 0.8]])
 RHO0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)

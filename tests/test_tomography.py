@@ -26,9 +26,9 @@ from metriq.rng import RngStream
 from metriq.tomography import (
     ReconstructedChannel,
     _choi_bound,
-    _herm2_trace_norm,
     _herm3_trace_norm,
     _herm_coords,
+    _herm_trace_norm,
     _hermitian_choi,
     _hermitian_image,
     default_design,
@@ -797,17 +797,22 @@ def _hard_hermitian2(draw):
 @settings(max_examples=300, deadline=None)
 @given(_hard_hermitian2())
 def test_herm2_trace_norm_property(mat):
+    # a qubit matrix goes through the qutrit closed form, zero-padded
     lam = np.linalg.eigvalsh(mat)
-    got = _herm2_trace_norm(_herm_coords(mat[None]).T)[0]
+    got = _herm_trace_norm(_herm_coords(mat[None]).T, 2)[0]
     assert abs(got - np.abs(lam).sum()) <= 1e-12 * max(1.0, np.abs(lam).max())
+
+
+def _qudit_map():
+    """A d = 4 map, past the closed form: a scaled unitary channel minus the identity."""
+    return superoperator(kraus_channel([0.9 * RngStream(seed=93).haar_unitary(4, start=0)])) - np.eye(16)
 
 
 def test_sampled_oracle_beyond_the_closed_forms_matches_direct_evaluation():
     # d = 4 takes the batched eigvalsh path
     from metriq.tomography import _ORACLE_SEED
 
-    rng = RngStream(seed=93)
-    phi = superoperator(kraus_channel([0.9 * rng.haar_unitary(4, start=0)])) - np.eye(16)
+    phi = _qudit_map()
     n = 500
     psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 4)
     best = 0.0
@@ -885,11 +890,30 @@ def _dishonest_map():
 def test_sampled_oracle_maxima_do_not_depend_on_the_chunk(monkeypatch):
     import metriq.tomography as tomography
 
-    maps = [superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9), _dishonest_map()]
+    maps = [superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9), _dishonest_map(), _qudit_map()]
     n = 3 * 2**17 + 5
     default = [sampled_one_to_one(phi, samples=n) for phi in maps]
     monkeypatch.setattr(tomography, "_ORACLE_CHUNK", 1 << 17)
     assert [sampled_one_to_one(phi, samples=n) for phi in maps] == default
+
+
+def test_sampled_oracle_chunks_hold_about_a_megabyte(monkeypatch):
+    # each chunk holds d^2 coordinates per probe, so it holds fewer probes as d grows
+    from metriq.tomography import _ORACLE_CHUNK
+
+    counts = []
+    draw = RngStream.haar_states
+
+    def spy(self, n, *args, **kwargs):
+        counts.append(n)
+        return draw(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "haar_states", spy)
+    for d in (2, 3, 4, 9):
+        limit = min(_ORACLE_CHUNK, 9 * _ORACLE_CHUNK // d**2)
+        counts.clear()
+        sampled_one_to_one(np.eye(d * d), samples=2 * limit + 5)
+        assert counts == [limit, limit, 5]
 
 
 def test_sampled_oracle_max_is_the_kernel_on_every_probe():
