@@ -40,6 +40,11 @@ def _mix64_int(x: int) -> int:
     return int(_mix64_array(np.array([x & _MASK], dtype=np.uint64))[0])
 
 
+def _require_slots(count: int, start: int) -> None:
+    if count < 0 or start < 0:
+        raise ValueError(f"count and start must be nonnegative, got count={count}, start={start}")
+
+
 @dataclass(frozen=True, eq=True)
 class RngStream:
     """Addressable stream of reproducible random words.
@@ -66,8 +71,7 @@ class RngStream:
 
     def words(self, count: int, start: int = 0) -> np.ndarray:
         """Raw 64-bit words for slots [start, start + count)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        _require_slots(count, start)
         base = np.uint64(self._base())
         idx = np.arange(start, start + count, dtype=np.uint64)
         return _mix64_array(base + idx * np.uint64(_GOLDEN))
@@ -83,6 +87,7 @@ class RngStream:
         Consumes 2*ceil(count/2) slots beginning at `start`; even counts
         therefore consume exactly `count` slots.
         """
+        _require_slots(count, start)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs, start)
         # 1 - u keeps the log argument in (0, 1]

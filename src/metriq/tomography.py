@@ -162,16 +162,14 @@ def _response(model, eta, sigma, n, rng, exact):
 
 
 def _worker_count(n_items: int) -> int:
-    raw = os.environ.get("METRIQ_THREADS", "0")
+    raw = os.environ.get("METRIQ_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
         raise MetriqError(f"METRIQ_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise MetriqError("METRIQ_THREADS must be >= 0 (0 means auto)")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return max(1, min(value, n_items))
+    if value < 1:
+        raise MetriqError(f"METRIQ_THREADS must be a positive thread count, got {raw!r}")
+    return min(value, n_items)
 
 
 def run_prover(
@@ -185,9 +183,10 @@ def run_prover(
     """Collect (success_ratio, returned_state) for every design input.
 
     Each input gets its own derived random stream, so results do not depend
-    on execution order. The inputs fan out over a thread pool of
-    METRIQ_THREADS workers; unset or 0 means the CPU count, and 1 runs them
-    in order on the calling thread.
+    on execution order. The inputs run in order on the calling thread unless
+    METRIQ_THREADS, a positive thread count (default 1), asks for more; then
+    a sampled game fans them out over that many threads, at most one per
+    input. An exact game draws nothing and always runs on the calling thread.
     """
     if eta.dim != 2:
         raise DimMismatchError(f"the game is played over a qubit metric, got dim {eta.dim}")
@@ -200,7 +199,7 @@ def run_prover(
         return _response(model, eta, inputs[i], n, rng.derive(i), exact)
 
     workers = _worker_count(len(inputs))
-    if workers > 1:
+    if workers > 1 and not exact:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, range(len(inputs))))
     return [one(i) for i in range(len(inputs))]
@@ -258,8 +257,8 @@ def _superop_dim(superop: np.ndarray) -> int:
     if superop.shape[0] != superop.shape[1]:
         raise DimMismatchError(f"superoperator must be square, got {superop.shape}")
     d = math.isqrt(superop.shape[0])
-    if d * d != superop.shape[0]:
-        raise DimMismatchError(f"superoperator side {superop.shape[0]} is not a square")
+    if d == 0 or d * d != superop.shape[0]:
+        raise DimMismatchError(f"superoperator side {superop.shape[0]} is not a positive square")
     return d
 
 

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import re
-import shlex
 import subprocess
 import sys
 import time
@@ -30,6 +29,7 @@ from metriq.montecarlo import simulate_g_eta
 from metriq.ptsym import PtHamiltonian
 from metriq.rng import RngStream
 from metriq.tomography import default_design, honest_prover, reconstruct, run_prover, verify
+from readme_examples import examples as readme_examples
 
 ETA2_JSON = [[[0.8, 0.0], [0.0, -0.2]], [[0.0, 0.2], [0.8, 0.0]]]
 IDENTITY_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -491,6 +491,18 @@ def test_verify_exact_must_be_a_boolean(tmp_path):
     assert run_main("verify", "--config", sampled).returncode in (0, 1)
 
 
+def test_verify_thread_count_below_one_is_domain_error(tmp_path, monkeypatch):
+    cfg = write_json(
+        tmp_path / "v.json",
+        {"metric": ETA2_JSON, "prover": "honest", "shots": 300, "seed": 3},
+    )
+    for bad in ("0", "-1", "two"):
+        monkeypatch.setenv("METRIQ_THREADS", bad)
+        proc = run_main("verify", "--config", cfg)
+        assert (proc.returncode, proc.stdout) == (2, ""), bad
+        assert "METRIQ_THREADS" in proc.stderr
+
+
 def test_verify_degenerate_metric_is_domain_error(tmp_path):
     cfg = write_json(
         tmp_path / "v.json",
@@ -601,21 +613,19 @@ def test_one_parser_serves_every_request_in_a_process(tmp_path, capsys, monkeypa
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_cli_examples_print_what_they_show(tmp_path):
-    # each "$ metriq ..." block runs on the JSON block just above it, written
-    # to the file its --config names, and must print the rest of its block
-    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.S | re.M)
-    checked = 0
-    for (lang, config), (_, body) in zip(blocks, blocks[1:]):
-        command, _, expected = body.partition("\n")
-        if not command.startswith("$ metriq "):
-            continue
-        assert lang == "json", command
-        argv = shlex.split(command)[2:]
+def check_readme_examples(tmp_path, run):
+    examples = readme_examples(README)
+    assert len(examples) >= 3
+    for config, argv, expected in examples:
         name = argv[argv.index("--config") + 1]
         (tmp_path / name).write_text(config)
         argv[argv.index("--config") + 1] = str(tmp_path / name)
-        proc = run_cli(*argv)
-        assert proc.stdout == expected, command
-        checked += 1
-    assert checked >= 3
+        assert run(*argv).stdout == expected, argv
+
+
+def test_readme_cli_examples_print_what_they_show(tmp_path):
+    check_readme_examples(tmp_path, run_cli)
+
+
+def test_readme_cli_examples_print_the_same_in_process(tmp_path):
+    check_readme_examples(tmp_path, run_main)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from metriq.rng import RngStream
 from metriq.tomography import _ORACLE_CHUNK
@@ -80,6 +81,17 @@ def test_haar_draws_read_the_normals_as_complex_pairs():
                 v -= np.vdot(q[:, k], g[:, j]) * q[:, k]
             q[:, j] = v / np.linalg.norm(v)
         assert np.array_equal(rng.haar_unitary(dim, start=77).view(np.uint64), q.view(np.uint64))
+
+
+def test_negative_counts_and_starts_are_refused():
+    s = RngStream(7)
+    draws = (s.words, s.uniforms, s.normals, lambda count, start=0: s.haar_states(count, 3, start))
+    for draw in draws:
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(5, start=-1)
+        assert len(draw(0)) == 0
 
 
 def test_seed_masking():

@@ -357,24 +357,49 @@ def test_run_prover_rejects_too_few_shots():
 def test_run_prover_thread_count_env(monkeypatch):
     eta = validate_metric(ETA2)
     design = default_design()
-    monkeypatch.setenv("METRIQ_THREADS", "1")
-    serial = run_prover(honest_prover(), eta, design, 300, RngStream(seed=9))
+
+    def play(threads):
+        if threads is None:
+            monkeypatch.delenv("METRIQ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("METRIQ_THREADS", threads)
+        return run_prover(honest_prover(), eta, design, 300, RngStream(seed=9))
+
+    threaded = play("3")
+    for serial in (play("1"), play(None)):
+        for (r1, s1), (r2, s2) in zip(serial, threaded):
+            assert r1 == r2
+            assert np.array_equal(s1, s2)
+
+
+def test_run_prover_starts_no_thread_unless_asked(monkeypatch):
+    import metriq.tomography as tomography
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_prover started a thread pool")
+
+    monkeypatch.setattr(tomography, "ThreadPoolExecutor", no_pool)
+    # the thread count no longer follows the CPU count
+    monkeypatch.setattr(tomography.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("METRIQ_THREADS", raising=False)
+    eta = validate_metric(ETA2)
+    design = default_design()
+    mixture = dishonest_prover([np.eye(2), np.array([[0, 1], [1, 0]])], [0.5, 0.3])
+    for model in (honest_prover(), mixture):
+        assert len(run_prover(model, eta, design, 300, RngStream(seed=9))) == 9
+    assert len(run_prover(honest_prover(), eta, design, 0, RngStream(seed=9), exact=True)) == 9
+    # an exact game draws nothing, so it runs on the calling thread at any setting
     monkeypatch.setenv("METRIQ_THREADS", "3")
-    threaded = run_prover(honest_prover(), eta, design, 300, RngStream(seed=9))
-    for (r1, s1), (r2, s2) in zip(serial, threaded):
-        assert r1 == r2
-        assert np.array_equal(s1, s2)
+    assert len(run_prover(honest_prover(), eta, design, 0, RngStream(seed=9), exact=True)) == 9
 
 
 def test_run_prover_thread_env_rejections(monkeypatch):
     eta = validate_metric(ETA2)
     design = default_design()
-    monkeypatch.setenv("METRIQ_THREADS", "two")
-    with pytest.raises(MetriqError):
-        run_prover(honest_prover(), eta, design, 10, RngStream(seed=0))
-    monkeypatch.setenv("METRIQ_THREADS", "-1")
-    with pytest.raises(MetriqError):
-        run_prover(honest_prover(), eta, design, 10, RngStream(seed=0))
+    for bad in ("two", "-1", "0"):
+        monkeypatch.setenv("METRIQ_THREADS", bad)
+        with pytest.raises(MetriqError, match="METRIQ_THREADS"):
+            run_prover(honest_prover(), eta, design, 10, RngStream(seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +564,15 @@ def test_norm_rejects_bad_shapes():
         one_to_one_norm(np.zeros((9, 4)))
     with pytest.raises(DimMismatchError):
         one_to_one_norm(np.zeros((8, 8)))
+
+
+def test_empty_map_is_a_domain_error():
+    def choi(lmap):
+        return ReconstructedChannel(linear_map=lmap, shots_per_input=0).choi
+
+    for call in (one_to_one_norm, _choi_bound, choi):
+        with pytest.raises(DimMismatchError, match="side 0"):
+            call(np.zeros((0, 0)))
 
 
 def test_norm_warns_at_its_iteration_cap():
