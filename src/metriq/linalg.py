@@ -2,12 +2,14 @@
 
 Matrices are numpy arrays in row-major order; a "ComplexMatrix" throughout the
 package is simply a finite 2-D ndarray. Every eigendecomposition and norm in
-the package goes through LAPACK (numpy's eigh and SVD); results are
-deterministic on one machine and agree across platforms to roundoff, not bit
-for bit. hermitian_eig fixes the conventions LAPACK leaves open: eigenvalues
-come out ascending and every eigenvector is rescaled so its first component
-above 1e-12 in magnitude is real and positive. HermitianEigensystem.map forms
-every spectral function V f(Lambda) V^dagger in the package.
+the package goes through LAPACK (numpy's eigh and SVD), except the sampled
+(1->1) oracle's closed-form 3x3 trace norm, tomography._herm3_trace_norm;
+results are deterministic on one machine and agree across platforms to
+roundoff, not bit for bit. hermitian_eig fixes the conventions LAPACK leaves
+open: eigenvalues come out ascending and every eigenvector is rescaled so its
+first component above 1e-12 in magnitude is real and positive.
+HermitianEigensystem.map forms every spectral function V f(Lambda) V^dagger
+in the package, on one matrix or on a stack.
 """
 
 from __future__ import annotations
@@ -40,19 +42,20 @@ def _require_square(m: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HermitianEigensystem:
-    """Ascending eigenvalues and an orthonormal eigenvector matrix.
+    """Ascending eigenvalues and an orthonormal eigenvector matrix, or a stack of them.
 
-    eigenvectors[:, k] belongs to eigenvalues[k]; V satisfies
-    V^dagger V = I and M V = V diag(eigenvalues) to machine precision.
+    eigenvectors[..., :, k] belongs to eigenvalues[..., k], as np.linalg.eigh
+    returns them; V satisfies V^dagger V = I and M V = V diag(eigenvalues)
+    to machine precision.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def map(self, f) -> np.ndarray:
-        """V f(Lambda) V^dagger; f maps the eigenvalue array elementwise."""
+        """V f(Lambda) V^dagger for each system; f maps the eigenvalue array elementwise."""
         v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ v.conj().T
+        return (v * f(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ from .errors import (
     UncertifiedAcceptWarning,
 )
 from .hilbert import MetricOperator, _require_subidentity, validate_density
-from .linalg import as_matrix, hermitian_eig, trace_norm
-from .montecarlo import _branch_counts, _gate, _require_shot_count, _sampled_ratio
+from .linalg import HermitianEigensystem, as_matrix, hermitian_eig, trace_norm
+from .montecarlo import _draw, _gate, _require_shot_count
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
@@ -152,12 +152,12 @@ def _response(model, eta, sigma, n, rng, exact):
     else:
         q, scale = np.array(model.probs), 1
         states = np.array([w.conj().T @ sigma @ w for w in map(_embed_unitary, model.unitaries)])
-    p = float(q.sum())
     if exact:
+        p = float(q.sum())
         weights, ratio = q / p, scale * p
     else:
-        weights = _branch_counts(rng, q, n) / float(n)
-        _, ratio = _sampled_ratio(rng, p, n, scale)
+        _, ratio, counts = _draw(rng, q, n, scale)
+        weights = counts / float(n)
     return ratio, np.tensordot(weights, states, axes=1)
 
 
@@ -310,8 +310,7 @@ def one_to_one_norm(superop) -> float:
     lam, vec = np.linalg.eigh(_hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :]))
 
     for _ in range(_NORM_MAX_ITERS):
-        s = (vec * np.sign(lam)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-        m = _hermitian_image(adjoint, s)
+        m = _hermitian_image(adjoint, HermitianEigensystem(lam, vec).map(np.sign))
 
         grad = np.einsum("kab,kb->ka", m, psi)
         rayleigh = np.einsum("ka,ka->k", psi.conj(), grad).real
@@ -351,8 +350,7 @@ def _choi_bound(superop) -> float:
     """
     lmap = as_matrix(superop)
     d = _superop_dim(lmap)
-    lam, vec = np.linalg.eigh(_hermitian_choi(lmap, d))
-    absolute = (vec * np.abs(lam)) @ vec.conj().T
+    absolute = HermitianEigensystem(*np.linalg.eigh(_hermitian_choi(lmap, d))).map(np.abs)
     return float(np.linalg.eigvalsh(np.einsum("iaja->ij", absolute.reshape(d, d, d, d)))[-1])
 
 

@@ -400,6 +400,22 @@ def test_over_budget_requests_are_domain_errors(tmp_path):
         assert proc.stdout == ""
 
 
+def test_over_budget_mixture_reads_no_slot(tmp_path, monkeypatch):
+    """A two-unitary prover's branch slots are refused by the budget check, not read first."""
+    swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    prover = {"kind": "dishonest", "unitaries": [IDENTITY_JSON, swap], "probs": [0.3, 0.4]}
+    cfg = write_json(tmp_path / "v.json", {"metric": ETA2_JSON, "prover": prover, "seed": 3})
+
+    def no_slot(self, count, start=0):
+        raise AssertionError("a slot was read")
+
+    monkeypatch.setattr(RngStream, "uniforms", no_slot)
+    proc = run_main("verify", "--config", cfg, "--shots", str(10**9 + 1))
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

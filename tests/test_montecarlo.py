@@ -23,7 +23,7 @@ from metriq.hilbert import validate_metric
 from metriq.linalg import trace_norm
 from metriq.montecarlo import (
     SimulationRecord,
-    _sampled_ratio,
+    _draw,
     chained_success_probability,
     simulate_g_eta,
     simulate_pt,
@@ -272,17 +272,31 @@ class NoDraws:
         raise AssertionError("a slot was read")
 
 
+class NoBranchSlots:
+    """A stream whose copy slots [0, n) are RngStream(seed)'s; reading a branch slot fails."""
+
+    def __init__(self, seed, n):
+        self.rng, self.n = RngStream(seed=seed), n
+
+    def uniforms(self, count, start=0):
+        if start + count > self.n:
+            raise AssertionError("a branch slot was read")
+        return self.rng.uniforms(count, start=start)
+
+
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(1e-12, 1.0), n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
 def test_sampler_properties(p, n, seed):
-    total, ratio = _sampled_ratio(RngStream(seed=seed), p, n, 2.0)
+    # one branch: every success is its own, and no branch slot is read
+    total, ratio, counts = _draw(NoBranchSlots(seed, n), [p], n, 2.0)
     assert total >= n
     assert ratio == 2.0 * n / total
-    assert _sampled_ratio(RngStream(seed=seed), p, n, 2.0) == (total, ratio)
-    assert _sampled_ratio(RngStream(seed=seed), 1.0, n, 2.0) == (n, 2.0)
+    assert counts.tolist() == [n]
+    assert _draw(RngStream(seed=seed), [p], n, 2.0)[:2] == (total, ratio)
+    assert _draw(NoDraws(), [1.0], n, 2.0)[:2] == (n, 2.0)
     # each success owns its slot, so a small block reproduces the one-shot draw
     with mock.patch.object(montecarlo, "_BLOCK", 7):
-        assert _sampled_ratio(RngStream(seed=seed), p, n, 2.0) == (total, ratio)
+        assert _draw(RngStream(seed=seed), [p], n, 2.0)[:2] == (total, ratio)
     if p < 1.0:
         assert total == reference_attempts(RngStream(seed=seed), p, n)
 
@@ -290,20 +304,22 @@ def test_sampler_properties(p, n, seed):
 def test_sampler_across_a_block_boundary():
     n = montecarlo._BLOCK + 3
     for p in (0.3, 1e-9):
-        got, _ = _sampled_ratio(RngStream(seed=5), p, n, 1.0)
+        got, _, _ = _draw(RngStream(seed=5), [p], n, 1.0)
         assert got == reference_attempts(RngStream(seed=5), p, n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(1e-300, 1.0), over=st.integers(0, 10**6))
 def test_sampler_budget_raises_before_any_draw(p, over):
-    with pytest.raises(MetriqError, match="budget"):
-        _sampled_ratio(NoDraws(), p, montecarlo._MAX_SUCCESSES + 1 + over, 1.0)
-    # the smallest count whose worst case could overflow int64
-    n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) + over
-    if 1 <= n <= montecarlo._MAX_SUCCESSES:
-        with pytest.raises(MetriqError, match="2\\^63"):
-            _sampled_ratio(NoDraws(), p, n, 1.0)
+    # one branch, and a mixture whose branch slots are refused by the same check
+    for q in ([p], [p / 2.0, p / 2.0]):
+        with pytest.raises(MetriqError, match="budget"):
+            _draw(NoDraws(), q, montecarlo._MAX_SUCCESSES + 1 + over, 1.0)
+        # the smallest count whose worst case could overflow int64
+        n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) + over
+        if 1 <= n <= montecarlo._MAX_SUCCESSES:
+            with pytest.raises(MetriqError, match="2\\^63"):
+                _draw(NoDraws(), q, n, 1.0)
 
 
 class LargestUniform:
@@ -319,20 +335,20 @@ def test_sampler_worst_case_inside_the_budget_fits_int64():
     assert worst <= 37.0 / p
     # the largest count that passes the overflow check, every draw at its maximum
     n = math.ceil(2.0**63 / (1.0 + 37.0 / p)) - 1
-    total, _ = _sampled_ratio(LargestUniform(), p, n, 1.0)
+    total, _, _ = _draw(LargestUniform(), [p], n, 1.0)
     assert total == n + n * worst
     assert total < 2**63
 
 
 def test_sampler_rejects_vanishing_probability():
-    for p in (0.0, -0.5, float("nan")):
-        with pytest.raises(MetriqError):
-            _sampled_ratio(NoDraws(), p, 10, 1.0)
+    for q in ([0.0], [-0.5], [float("nan")], [0.0, 0.0]):
+        with pytest.raises(MetriqError, match="vanished"):
+            _draw(NoDraws(), q, 10, 1.0)
 
 
 def test_sampler_mean_total_is_n_over_p():
     n, p, runs = 50, 0.01, 200
-    totals = [_sampled_ratio(RngStream(seed=seed), p, n, 1.0)[0] for seed in range(runs)]
+    totals = [_draw(RngStream(seed=seed), [p], n, 1.0)[0] for seed in range(runs)]
     # a total is n plus n geometric failure counts of variance (1 - p)/p^2
     sigma = math.sqrt(n * (1.0 - p) / p**2 / runs)
     assert abs(np.mean(totals) - n / p) <= 5.0 * sigma
@@ -346,24 +362,28 @@ def reference_branch_counts(rng, q, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(q=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4), n=st.integers(1, 300),
-       seed=st.integers(0, 2**64 - 1))
+@given(q=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=5)
+       .filter(lambda q: sum(q) > 0.0),
+       n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+# zero-probability branches at either end and in the middle give equal edges
+@example(q=[0.0, 0.5], n=50, seed=1)
+@example(q=[0.5, 0.0], n=50, seed=2)
+@example(q=[0.2, 0.0, 0.0, 0.3], n=50, seed=3)
 def test_branch_counts_properties(q, n, seed):
-    if len(q) == 1:
-        # a single branch takes every success and reads no slot
-        assert montecarlo._branch_counts(NoDraws(), q, n).tolist() == [n]
-        return
-    counts = montecarlo._branch_counts(RngStream(seed=seed), q, n)
+    copies, _, counts = _draw(RngStream(seed=seed), q, n, 1.0)
     assert counts.sum() == n
     assert np.array_equal(counts, reference_branch_counts(RngStream(seed=seed), q, n))
+    assert counts[np.asarray(q) == 0.0].sum() == 0
+    # the branch draw leaves the copy slots as a one-branch draw reads them
+    assert copies == _draw(RngStream(seed=seed), [sum(q)], n, 1.0)[0]
     with mock.patch.object(montecarlo, "_BLOCK", 7):
-        assert np.array_equal(montecarlo._branch_counts(RngStream(seed=seed), q, n), counts)
+        assert np.array_equal(_draw(RngStream(seed=seed), q, n, 1.0)[2], counts)
 
 
 def test_branch_counts_across_a_block_boundary():
     n = montecarlo._BLOCK + 3
     q = [0.1, 0.25, 0.05]
-    counts = montecarlo._branch_counts(RngStream(seed=6), q, n)
+    _, _, counts = _draw(RngStream(seed=6), q, n, 1.0)
     assert counts.sum() == n
     assert np.array_equal(counts, reference_branch_counts(RngStream(seed=6), q, n))
 
@@ -374,23 +394,20 @@ def test_only_rng_and_montecarlo_draw_uniforms():
     for path in pathlib.Path(montecarlo.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
-            if name in ("uniforms", "_uniform_blocks"):
+            if name == "uniforms":
                 drawers.add(path.stem)
     assert drawers == {"rng", "montecarlo"}
 
 
-def test_only_sampled_ratio_draws_copies():
-    """Every success ratio is scale * n / copies from one helper, which alone reads the copy slots."""
+def test_only_draw_reads_sampler_slots():
+    """Every copy and branch slot is read by one function, after its one budget check."""
     readers = set()
-    for path in pathlib.Path(montecarlo.__file__).parent.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, ast.FunctionDef):
-                for node in ast.walk(fn):
-                    # slots 0 .. n - 1 are the copy counts; branches start at slot n
-                    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_uniform_blocks"
-                            and not any(kw.arg == "start" for kw in node.keywords)):
-                        readers.add(fn.name)
-    assert readers == {"_sampled_ratio"}
+    for fn in ast.walk(ast.parse(pathlib.Path(montecarlo.__file__).read_text(encoding="utf-8"))):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "uniforms":
+                    readers.add(fn.name)
+    assert readers == {"_draw"}
 
 
 def test_near_singular_metric_finishes():
