@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
+# Nothing here calls it: perfbench/tracer.py rebinds this name to a traced pool,
+# and the import goes when ROADMAP item 1 removes that TracedPool swap.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -161,17 +162,6 @@ def _response(model, eta, sigma, n, rng, exact):
     return ratio, np.tensordot(weights, states, axes=1)
 
 
-def _worker_count(n_items: int) -> int:
-    raw = os.environ.get("METRIQ_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise MetriqError(f"METRIQ_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise MetriqError(f"METRIQ_THREADS must be a positive thread count, got {raw!r}")
-    return min(value, n_items)
-
-
 def run_prover(
     model: ProverModel,
     eta: MetricOperator,
@@ -182,11 +172,9 @@ def run_prover(
 ) -> list:
     """Collect (success_ratio, returned_state) for every design input.
 
-    Each input gets its own derived random stream, so results do not depend
-    on execution order. The inputs run in order on the calling thread unless
-    METRIQ_THREADS, a positive thread count (default 1), asks for more; then
-    a sampled game fans them out over that many threads, at most one per
-    input. An exact game draws nothing and always runs on the calling thread.
+    The inputs run in order on the calling thread. Input i draws from its
+    own stream rng.derive(i), so its draws depend only on the seed and its
+    index, not on what the other inputs drew.
     """
     if eta.dim != 2:
         raise DimMismatchError(f"the game is played over a qubit metric, got dim {eta.dim}")
@@ -194,15 +182,7 @@ def run_prover(
     if not exact:
         n = _require_shot_count(n)
     inputs = [validate_density(s, dim=3) for s in design.input_states]
-
-    def one(i):
-        return _response(model, eta, inputs[i], n, rng.derive(i), exact)
-
-    workers = _worker_count(len(inputs))
-    if workers > 1 and not exact:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(len(inputs))))
-    return [one(i) for i in range(len(inputs))]
+    return [_response(model, eta, s, n, rng.derive(i), exact) for i, s in enumerate(inputs)]
 
 
 # ---------------------------------------------------------------------------

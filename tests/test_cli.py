@@ -9,6 +9,7 @@ test_one_parser_serves_every_request_in_a_process checks gives the same
 exit code and stdout as a fresh process.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -507,16 +508,34 @@ def test_verify_exact_must_be_a_boolean(tmp_path):
     assert run_main("verify", "--config", sampled).returncode in (0, 1)
 
 
-def test_verify_thread_count_below_one_is_domain_error(tmp_path, monkeypatch):
+def test_verify_ignores_thread_env(tmp_path, monkeypatch):
+    """METRIQ_THREADS, which once selected a thread pool, changes no exit code or byte."""
     cfg = write_json(
         tmp_path / "v.json",
         {"metric": ETA2_JSON, "prover": "honest", "shots": 300, "seed": 3},
     )
-    for bad in ("0", "-1", "two"):
-        monkeypatch.setenv("METRIQ_THREADS", bad)
+    monkeypatch.delenv("METRIQ_THREADS", raising=False)
+    unset = run_main("verify", "--config", cfg)
+    assert unset.returncode in (0, 1)
+    for value in ("0", "-1", "two", "3"):
+        monkeypatch.setenv("METRIQ_THREADS", value)
         proc = run_main("verify", "--config", cfg)
-        assert (proc.returncode, proc.stdout) == (2, ""), bad
-        assert "METRIQ_THREADS" in proc.stderr
+        assert (proc.returncode, proc.stdout) == (unset.returncode, unset.stdout), value
+
+
+def test_program_reads_no_environment():
+    """No module under src/metriq reads os.environ, os.getenv or os.cpu_count: the program has no knobs."""
+    banned = {"environ", "getenv", "cpu_count"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in banned]
+    assert found == []
 
 
 def test_verify_degenerate_metric_is_domain_error(tmp_path):

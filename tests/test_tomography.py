@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -354,52 +355,29 @@ def test_run_prover_rejects_too_few_shots():
         assert [r for r, _ in by_float] == [r for r, _ in by_int]
 
 
-def test_run_prover_thread_count_env(monkeypatch):
-    eta = validate_metric(ETA2)
-    design = default_design()
+def test_run_prover_plays_every_game_on_the_calling_thread(monkeypatch):
+    """METRIQ_THREADS is not read: no thread starts, and the bytes match a game played without it."""
+    def no_thread(self):
+        raise AssertionError("run_prover started a thread")
 
-    def play(threads):
-        if threads is None:
-            monkeypatch.delenv("METRIQ_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("METRIQ_THREADS", threads)
-        return run_prover(honest_prover(), eta, design, 300, RngStream(seed=9))
-
-    threaded = play("3")
-    for serial in (play("1"), play(None)):
-        for (r1, s1), (r2, s2) in zip(serial, threaded):
-            assert r1 == r2
-            assert np.array_equal(s1, s2)
-
-
-def test_run_prover_starts_no_thread_unless_asked(monkeypatch):
-    import metriq.tomography as tomography
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("run_prover started a thread pool")
-
-    monkeypatch.setattr(tomography, "ThreadPoolExecutor", no_pool)
-    # the thread count no longer follows the CPU count
-    monkeypatch.setattr(tomography.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("METRIQ_THREADS", raising=False)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     eta = validate_metric(ETA2)
     design = default_design()
     mixture = dishonest_prover([np.eye(2), np.array([[0, 1], [1, 0]])], [0.5, 0.3])
-    for model in (honest_prover(), mixture):
-        assert len(run_prover(model, eta, design, 300, RngStream(seed=9))) == 9
-    assert len(run_prover(honest_prover(), eta, design, 0, RngStream(seed=9), exact=True)) == 9
-    # an exact game draws nothing, so it runs on the calling thread at any setting
+    games = [(honest_prover(), 300, False), (mixture, 300, False), (honest_prover(), 0, True)]
+
+    def play():
+        return [run_prover(model, eta, design, n, RngStream(seed=9), exact=exact)
+                for model, n, exact in games]
+
+    monkeypatch.delenv("METRIQ_THREADS", raising=False)
+    unset = play()
     monkeypatch.setenv("METRIQ_THREADS", "3")
-    assert len(run_prover(honest_prover(), eta, design, 0, RngStream(seed=9), exact=True)) == 9
-
-
-def test_run_prover_thread_env_rejections(monkeypatch):
-    eta = validate_metric(ETA2)
-    design = default_design()
-    for bad in ("two", "-1", "0"):
-        monkeypatch.setenv("METRIQ_THREADS", bad)
-        with pytest.raises(MetriqError, match="METRIQ_THREADS"):
-            run_prover(honest_prover(), eta, design, 10, RngStream(seed=0))
+    for base, game in zip(unset, play()):
+        assert len(game) == len(base) == 9
+        for (r1, s1), (r2, s2) in zip(base, game):
+            assert np.float64(r1).tobytes() == np.float64(r2).tobytes()
+            assert s1.tobytes() == s2.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1080,25 @@ def test_verify_finite_honest_accepts():
         report = verify(eta, reconstruct(responses, design, shots_per_input=20000))
         assert report.verdict == "accept"
         assert report.distance < 0.02
+
+
+@pytest.mark.parametrize("eta", [validate_metric(ETA2), acceptance_metric(3000), acceptance_metric(3001)])
+def test_verify_resolution_is_the_threshold(eta):
+    """An exact honest game of (1 - eps) eta lands at eps * lambda_1 from eta's channel.
+
+    The game certifies the channel to within D_th, not the metric exactly: it
+    accepts exactly when eps * lambda_1 <= D_th.
+    """
+    design = default_design()
+    lam1 = float(eta.eig.eigenvalues[-1])
+    th = threshold(eta)
+    for fraction in (0.1, 0.5, 1.5):
+        eps = fraction * th / lam1
+        shrunk = validate_metric((1.0 - eps) * eta.matrix)
+        responses = run_prover(honest_prover(), shrunk, design, 0, RngStream(seed=0), exact=True)
+        report = verify(eta, reconstruct(responses, design))
+        assert abs(report.distance - eps * lam1) <= 1e-12, fraction
+        assert report.verdict == ("accept" if eps * lam1 <= th else "reject"), fraction
 
 
 def test_verify_shape_mismatch():
