@@ -16,10 +16,11 @@ The (1->1) norm of a Hermiticity-preserving map is attained on pure states,
 and for a fixed input the trace norm is linear in the dual observable; the
 estimator below alternates between the optimal observable for the current
 state and the optimal state for the current observable, with extrapolated
-steps from a few deterministic starting points, and never returns less than
-the analytic floor ||Phi(I/d)||_tr. Its value is attained, so it bounds the
-norm from below; the Choi-matrix bound bounds it from above and certifies
-an accept.
+steps from a few deterministic starting points, finishes with saddle-free
+Newton steps on the sphere of states where that alternation crawls, and
+never returns less than the analytic floor ||Phi(I/d)||_tr. Its value is
+attained, so it bounds the norm from below; the Choi-matrix bound bounds it
+from above and certifies an accept.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _NORM_STEPS = np.array([1.0, 2.0, 4.0])
 _NORM_SEED = 0x315A7C0FFEE
 _NORM_TOL = 1e-8
 _NORM_MAX_ITERS = 150
+_NORM_NEWTON_AFTER = 15
+_NORM_NEWTON_DAMPING = np.array([1.0, 0.25, 0.0625])
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +258,76 @@ def _hermitian_image(lmap: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (y + y.conj().transpose(0, 2, 1)) / 2.0
 
 
+def _second_order_model(lmap, psi, lam, vec, m):
+    """Gradient and Hessian of each start's objective in real tangent coordinates.
+
+    At psi the objective is f = sum |lambda| of A = H(Phi(psi psi*)) = V diag(lambda) V*,
+    with S = V sign(lambda) V* and M = H(Phi^dagger(S)). The coordinates c are
+    taken along xi_k, the n = 2(d - 1) vectors q_j and i q_j for q_j an
+    orthonormal basis of psi's complement, and the state moves by the
+    retraction psi(c) = (psi + sum c_k xi_k) / ||...||. To second order,
+    f(psi(c)) = f + g.c + c.H c / 2, with
+
+        g_k  = 2 Re(psi* M xi_k),
+        H_kl = 2 Re(xi_l* M xi_k) + sum_{i != j} w_ij Re(E_k,ij conj(E_l,ij)) - 2 f delta_kl,
+
+    E_k = V* H(Phi(xi_k psi* + psi xi_k*)) V and w_ij = (s_i - s_j) / (lambda_i - lambda_j),
+    0 where the signs s agree: the second derivative of the trace norm
+    (the divided differences of sign, Bhatia, Matrix Analysis, 1997, ch. V).
+    Returns xi (k, d, n), g (k, n) and H (k, n, n).
+    """
+    k, d = psi.shape
+    # eigenvalue 0 for psi, 1 for its complement
+    q = np.linalg.eigh(np.eye(d) - psi[:, :, None] * psi.conj()[:, None, :])[1][:, :, 1:]
+    xi = np.concatenate([q, 1j * q], axis=2)
+    n = xi.shape[2]
+    cross = xi.transpose(0, 2, 1)[:, :, :, None] * psi.conj()[:, None, None, :]
+    e = _hermitian_image(lmap, (cross + cross.conj().transpose(0, 1, 3, 2)).reshape(k * n, d, d))
+    e = vec.conj().transpose(0, 2, 1)[:, None] @ e.reshape(k, n, d, d) @ vec[:, None]
+    s = np.sign(lam)
+    gap = lam[:, :, None] - lam[:, None, :]
+    jump = s[:, :, None] - s[:, None, :]
+    w = np.divide(jump, gap, out=np.zeros_like(gap), where=jump != 0)
+    g = 2.0 * np.einsum("kan,kab,kb->kn", xi.conj(), m, psi).real
+    hess = (
+        2.0 * np.einsum("kan,kab,kbl->knl", xi.conj(), m, xi).real
+        + np.einsum("knij,kij,klij->knl", e, w, e.conj()).real
+        - 2.0 * np.abs(lam).sum(axis=1)[:, None, None] * np.eye(n)
+    )
+    return xi, g, hess
+
+
 def one_to_one_norm(superop) -> float:
     """max over pure states of ||Phi(|psi><psi|)||_tr for Hermiticity-preserving Phi.
 
-    Extrapolated alternating maximization from 8 deterministic Haar starts.
-    Each round picks the optimal trace-norm observable S = sign(Phi(psi psi*))
-    and then psi', the best state for S, which is the top eigenvector of the
-    pulled-back observable. With psi' phased so that <psi|psi'> >= 0, the
-    next iterate is the best of psi + beta (psi' - psi), normalized, over
-    beta in {1, 2, 4}; beta = 1 is the plain alternating step, so the
-    objective is nondecreasing, and the longer steps cut the iterations the
-    plain step needs where it converges slowly. Iteration stops when the
-    start with the largest objective is first-order stationary within 1e-8,
+    Extrapolated alternating maximization from 8 deterministic Haar starts,
+    finished by saddle-free Newton steps. Each round picks the optimal
+    trace-norm observable S = sign(Phi(psi psi*)) and then psi', the best
+    state for S, which is the top eigenvector of the pulled-back observable.
+    With psi' phased so that <psi|psi'> >= 0, the ascent step is the best of
+    psi + beta (psi' - psi), normalized, over beta in {1, 2, 4}; beta = 1 is
+    the plain alternating step, so the objective is nondecreasing, and the
+    longer steps cut the rounds the plain step needs where it converges
+    slowly. The ascent alone still converges sublinearly on some maps, so
+    from round _NORM_NEWTON_AFTER = 15 on each start also takes Riemannian
+    Newton candidates (Absil, Mahony & Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008, ch. 6) from the second-order model of
+    _second_order_model. The Hessian's eigenvalues are replaced by their
+    absolute values, floored at 1e-3 of the largest, so that the step
+    ascends and is not drawn to saddle points (saddle-free Newton, Dauphin
+    et al., arXiv:1406.2572). The candidates are 1, 1/4 and 1/16 times that
+    step, since the model can hold only close to psi where the objective is
+    a near-constant plus a small eigenvalue. A start takes its best Newton
+    candidate if the objective rises there and the ascent step otherwise,
+    so the objective stays nondecreasing. Iteration stops when the start
+    with the largest objective is first-order stationary within 1e-8,
     whether or not the others are. The returned value is the largest
     objective over all starts at the last iterate, floored at
     ||Phi(I/d)||_tr, which the maximum always dominates. Reaching the
-    150-iteration cap first keeps the objective at the last iterate and
-    issues an IterationCapWarning naming the best start's stationarity
-    residual, so the warning means that start itself did not converge.
+    150-round cap first (both kinds of round count) keeps the objective at
+    the last iterate and issues an IterationCapWarning naming the best
+    start's stationarity residual, so the warning means that start itself
+    did not converge.
 
     The value is attained by a state, so it is a lower bound on the norm:
     a distance above a threshold is a sound reject. verify certifies an
@@ -286,26 +341,44 @@ def one_to_one_norm(superop) -> float:
 
     rng = RngStream(seed=_NORM_SEED)
     psi = rng.haar_states(_NORM_STARTS, d)
+    starts = np.arange(len(psi))
     adjoint = lmap.conj().T
     lam, vec = np.linalg.eigh(_hermitian_image(lmap, psi[:, :, None] * psi.conj()[:, None, :]))
 
-    for _ in range(_NORM_MAX_ITERS):
+    for rounds in range(_NORM_MAX_ITERS):
         m = _hermitian_image(adjoint, HermitianEigensystem(lam, vec).map(np.sign))
 
         grad = np.einsum("kab,kb->ka", m, psi)
         rayleigh = np.einsum("ka,ka->k", psi.conj(), grad).real
         resid = np.linalg.norm(grad - rayleigh[:, None] * psi, axis=1)
-        best = np.argmax(np.abs(lam).sum(axis=1))
+        value = np.abs(lam).sum(axis=1)
+        best = np.argmax(value)
         if resid[best] <= _NORM_TOL:
             break
         top = np.linalg.eigh(m)[1][:, :, -1]
         top *= np.exp(-1j * np.angle(np.einsum("ka,ka->k", psi.conj(), top)))[:, None]
         # (start, beta) candidates; each has norm >= 1, as <psi|psi'> >= 0
         cand = psi[:, None, :] + _NORM_STEPS[:, None] * (top - psi)[:, None, :]
+        newton = rounds >= _NORM_NEWTON_AFTER
+        if newton:
+            xi, g, hess = _second_order_model(lmap, psi, lam, vec, m)
+            h, u = np.linalg.eigh(hess)
+            # |H|^-1 g; a start whose H is 0 (its image is 0, so g = 0 too) stays put
+            scale = np.maximum(np.abs(h), 1e-3 * np.abs(h).max(axis=1, keepdims=True))
+            proj = np.einsum("knl,kn->kl", u, g)
+            proj = np.divide(proj, scale, out=np.zeros_like(proj), where=scale > 0)
+            move = np.einsum("kan,knl,kl->ka", xi, u, proj)[:, None, :]
+            # then the (start, damping) Newton candidates, also of norm >= 1
+            cand = np.concatenate([cand, psi[:, None, :] + _NORM_NEWTON_DAMPING[:, None] * move], axis=1)
         cand = (cand / np.linalg.norm(cand, axis=2, keepdims=True)).reshape(-1, d)
         lam_c, vec_c = np.linalg.eigh(_hermitian_image(lmap, cand[:, :, None] * cand.conj()[:, None, :]))
-        pick = np.arange(len(psi)) * len(_NORM_STEPS) + np.argmax(
-            np.abs(lam_c).sum(axis=1).reshape(len(psi), -1), axis=1)
+        value_c = np.abs(lam_c).sum(axis=1).reshape(len(psi), -1)
+        pick = np.argmax(value_c[:, : len(_NORM_STEPS)], axis=1)
+        if newton:
+            # a start takes its best Newton candidate if the objective rises there
+            damped = len(_NORM_STEPS) + np.argmax(value_c[:, len(_NORM_STEPS) :], axis=1)
+            pick = np.where(value_c[starts, damped] > value, damped, pick)
+        pick += starts * value_c.shape[1]
         psi, lam, vec = cand[pick], lam_c[pick], vec_c[pick]
     else:
         # iteration cap: only the objective at the last iterate is left
