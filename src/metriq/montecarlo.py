@@ -29,10 +29,9 @@ from .errors import MetriqError
 from .hilbert import MetricOperator, _require_subidentity, validate_density
 from .linalg import matrix_exp_hermitian_generator
 from .ptsym import PtSystem, analytic_pt_evolution
-from .rng import RngStream
+from .rng import _BLOCK, RngStream  # _BLOCK slots per draw: bounds memory, never changes a result
 
-_MAX_SUCCESSES = 10**9  # per stream: about 20 s at about 20 ns per slot
-_BLOCK = 1 << 20  # slots per draw; bounds memory, never changes a result
+_MAX_SUCCESSES = 10**9  # per stream: about 8 s at about 8 ns per success, 14 s with branches
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +87,12 @@ def _draw(rng: RngStream, q, n: int, scale: float) -> tuple[int, float, np.ndarr
     for lo in range(0, n, _BLOCK):
         count = min(_BLOCK, n - lo)
         if log_q is not None:
-            # naming u measured 10% faster at 1e5 slots; del keeps one block alive
             u = rng.uniforms(count, start=lo)
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            u /= log_q
             # the ratio is nonnegative, so truncation is the floor
-            copies += int((np.log1p(-u) / log_q).astype(np.int64).sum())
-            del u
+            copies += int(u.astype(np.int64).sum())
         if below:
             u = rng.uniforms(count, start=n + lo)
             below = [b + np.count_nonzero(u < edge) for b, edge in zip(below, edges)]

@@ -7,11 +7,17 @@ The word function is the splitmix64 finalizer applied to a Weyl sequence:
 
     word(i) = mix64(base + i * GOLDEN),   base = mix64(mix64(seed + S0) ^ mix64(stream + S1))
 
-Uniforms take the top 53 bits, so they lie in [0, 1) on an exact double grid.
+Slots are the integers in [0, 2^64); a draw whose range would pass 2^64 is
+refused rather than wrapped. The kernel fills a draw one block of _BLOCK
+slots at a time, in place, so a block's words and its scratch stay in cache.
+Each slot is a pure function of its index, so the block size never changes
+a word. Uniforms take the top 53 bits, so they lie in [0, 1) on an exact
+double grid.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +31,37 @@ _SALT_STREAM = 0x8BB84B93962EACC9
 
 _INV_2_53 = float(2.0 ** -53)
 
+_BLOCK = 1 << 13  # slots per kernel pass: 64 KB of words, which stay in L2
+_WEYL = np.arange(_BLOCK, dtype=np.uint64) * _GOLDEN
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array, elementwise."""
+
+def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer on a uint64 array, in place; scratch has z's shape."""
     # uint64 arithmetic wraps modulo 2**64, which is exactly what we need
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
 
 
 def _mix64_int(x: int) -> int:
     """The finalizer on a Python integer, wrapping at 64 bits."""
-    # a one-element array, not a numpy scalar: scalar arithmetic warns on overflow
-    return int(_mix64_array(np.array([x & _MASK], dtype=np.uint64))[0])
+    z = x & _MASK
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
+    return z ^ (z >> 31)
 
 
-def _require_slots(count: int, start: int) -> None:
+def _require_slots(count: int, start: int) -> tuple[int, int]:
+    """(count, start) as exact integers naming slots inside [0, 2^64)."""
+    count, start = operator.index(count), operator.index(start)
     if count < 0 or start < 0:
         raise ValueError(f"count and start must be nonnegative, got count={count}, start={start}")
+    if start + count > 1 << 64:
+        raise ValueError(f"slots [{start}, {start + count}) pass the last slot, 2**64 - 1")
+    return count, start
 
 
 @dataclass(frozen=True, eq=True)
@@ -71,15 +90,23 @@ class RngStream:
 
     def words(self, count: int, start: int = 0) -> np.ndarray:
         """Raw 64-bit words for slots [start, start + count)."""
-        _require_slots(count, start)
-        base = np.uint64(self._base())
-        idx = np.arange(start, start + count, dtype=np.uint64)
-        return _mix64_array(base + idx * np.uint64(_GOLDEN))
+        count, start = _require_slots(count, start)
+        base = self._base()
+        out = np.empty(count, dtype=np.uint64)
+        scratch = np.empty(min(count, _BLOCK), dtype=np.uint64)
+        for lo in range(0, count, _BLOCK):
+            z = out[lo : lo + _BLOCK]
+            # slot start + lo + i is base + (start + lo) * GOLDEN + _WEYL[i], mod 2^64
+            np.add(_WEYL[: len(z)], (base + (start + lo) * _GOLDEN) & _MASK, out=z)
+            _mix64_array(z, scratch[: len(z)])
+        return out
 
     def uniforms(self, count: int, start: int = 0) -> np.ndarray:
         """Doubles in [0, 1), one per slot."""
         w = self.words(count, start)
-        return (w >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        w >>= 11
+        # below 2^53, so the signed view converts exactly and faster than uint64
+        return w.view(np.int64) * _INV_2_53
 
     def normals(self, count: int, start: int = 0) -> np.ndarray:
         """Standard normals via Box-Muller.
@@ -87,7 +114,7 @@ class RngStream:
         Consumes 2*ceil(count/2) slots beginning at `start`; even counts
         therefore consume exactly `count` slots.
         """
-        _require_slots(count, start)
+        count, start = _require_slots(count, start)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs, start)
         # 1 - u keeps the log argument in (0, 1]

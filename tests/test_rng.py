@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from metriq.rng import RngStream
+from metriq.rng import _BLOCK, _GOLDEN, _MASK, RngStream, _mix64_int
 from metriq.tomography import _ORACLE_CHUNK
 
 
@@ -10,6 +12,15 @@ def test_chunking_does_not_change_draws():
     whole = s.uniforms(1000)
     parts = np.concatenate([s.uniforms(1), s.uniforms(499, start=1), s.uniforms(500, start=500)])
     assert np.array_equal(whole, parts)
+    # across the kernel's blocks: cuts inside the first, one slot either side of edges, past the last
+    n = 3 * _BLOCK + 5
+    cuts = [0, 3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 2, n]
+    for draw in (s.words, s.uniforms):
+        whole = draw(n)
+        parts = [draw(hi - lo, start=lo) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole, np.concatenate(parts))
+        # a draw that starts mid-block reads the same slots as the aligned one
+        assert np.array_equal(draw(2 * _BLOCK, start=_BLOCK - 7), whole[_BLOCK - 7 : 3 * _BLOCK - 7])
 
 
 def test_same_key_same_sequence():
@@ -92,6 +103,24 @@ def test_negative_counts_and_starts_are_refused():
         with pytest.raises(ValueError, match="nonnegative"):
             draw(5, start=-1)
         assert len(draw(0)) == 0
+        # counts and starts are exact integers, not floats rounded up or down
+        for count, start in ((2.5, 0), (2.0, 0), (2, 0.5), (2, 1.0)):
+            with pytest.raises(TypeError):
+                draw(count, start=start)
+        # the slots are [0, 2^64): a range past the last slot is refused, not wrapped
+        for count, start in ((2, 2**64 - 1), (1, 2**64), (2**64 + 1, 0), (10, 2**65)):
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                draw(count, start=start)
+        assert len(draw(0, start=2**64)) == 0
+        assert len(draw(np.int64(3), start=np.uint64(2))) == 3
+
+
+def test_last_slot_is_drawn():
+    s = RngStream(7, 9)
+    last = s.words(1, start=2**64 - 1)
+    assert last.dtype == np.uint64 and last.tolist() == [_mix64_int(s._base() + (2**64 - 1) * _GOLDEN)]
+    assert s.words(3, start=2**64 - 3)[-1] == last[0]
+    assert 0.0 <= s.uniforms(1, start=2**64 - 1)[0] < 1.0
 
 
 def test_seed_masking():
@@ -102,7 +131,7 @@ def test_seed_masking():
 
 
 def test_integer_finalizer_matches_the_python_int_form():
-    from metriq.rng import _MASK, _MIX_A, _MIX_B, _SALT_SEED, _SALT_STREAM, _mix64_int
+    from metriq.rng import _MIX_A, _MIX_B, _SALT_SEED, _SALT_STREAM
 
     # the finalizer as it was once written on Python integers
     def reference(x):
@@ -115,3 +144,38 @@ def test_integer_finalizer_matches_the_python_int_form():
     for x in [0, 2**64 - 1, _SALT_SEED, _SALT_STREAM, 2**64, 2**70 + 5, *words]:
         got = _mix64_int(x)
         assert type(got) is int and got == reference(x), x
+
+
+def sampled_bytes_digest():
+    """SHA-256 over the sampler's totals and every draw kind at odd starts."""
+    from metriq.montecarlo import _draw
+
+    digest = hashlib.sha256()
+    # 8192 slots is rng's kernel block; a literal keeps the pin's slots fixed
+    block = 1 << 13
+    for q in ([0.3], [1.0], [0.2, 0.5], [0.1, 0.0, 0.6, 0.2]):
+        for n in (1, 7, block - 1, block, block + 1, 10**5, 2 * 10**6):
+            copies, ratio, counts = _draw(RngStream(seed=n, stream_id=len(q)), q, n, 1.5)
+            digest.update(np.array([copies, *counts], dtype="<i8").tobytes())
+            digest.update(np.array([ratio], dtype="<f8").tobytes())
+    s = RngStream(0x5EED, 3)
+    chain = s.derive(0).derive(2**64 - 1).derive(12345)
+    draws = [
+        s.words(3 * block + 5, start=block - 3),
+        s.words(1, start=2**64 - 1),
+        s.uniforms(3 * block + 5, start=2 * block + 1),
+        s.normals(1001, start=block - 1),
+        s.haar_states(777, 3, start=5),
+        s.haar_states(333, 2, start=block + 11),
+        s.haar_unitary(3, start=13),
+        s.haar_unitary(2, start=2**40 + 1),
+        chain.words(17, start=3),
+        np.array([chain.seed, chain.stream_id], dtype=np.uint64),
+    ]
+    for a in draws:
+        digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+    return digest.hexdigest()
+
+
+def test_sampled_bytes_are_pinned():
+    assert sampled_bytes_digest() == "b18362e0a9b56d33314ea1d77cd97748249b48be30d0954e7c69afe7f27e640f"
