@@ -104,8 +104,8 @@ def postselect(dil: DilationUnitary, sigma) -> tuple[np.ndarray, float]:
     return _project(dil, validate_density(sigma, dim=3))
 
 
-def _project(dil: DilationUnitary, sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    """postselect on a qutrit state its caller has already validated."""
+def _project(dil: DilationUnitary, sigma: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """postselect on a qutrit state, or a (..., 3, 3) stack, its caller has already validated."""
     u = dil.matrix
-    block = (u @ sigma @ u.conj().T)[:2, :2]
-    return block, float(np.trace(block).real)
+    block = (u @ sigma @ u.conj().T)[..., :2, :2]
+    return block, np.trace(block, axis1=-2, axis2=-1).real

@@ -30,7 +30,7 @@ def as_matrix(value) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise MetriqError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise MetriqError("matrix entries must be finite")
     return m
 

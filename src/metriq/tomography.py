@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, _choi_reshuffle, kraus_channel, superoperator
-from .dilation import embed
+from .dilation import _project, build_dilation, embed, normalize_metric
 from .errors import (
     DegenerateMetricError,
     DimMismatchError,
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .hilbert import MetricOperator, _require_subidentity, validate_density
 from .linalg import HermitianEigensystem, as_matrix, hermitian_eig, trace_norm
-from .montecarlo import _draw, _gate, _require_shot_count
+from .montecarlo import _draw, _require_shot_count
 from .rng import RngStream
 
 _ZERO_BLOCK_CUTOFF = 1e-12
@@ -66,16 +66,29 @@ _NORM_NEWTON_DAMPING = np.array([1.0, 0.25, 0.0625])
 
 @dataclass(frozen=True, eq=False)
 class TomographyDesign:
-    input_states: tuple
+    """Qutrit input states, kept as one read-only (k, 3, 3) stack.
+
+    Each state is checked once, here: one that is not a 3x3 density operator
+    raises InvalidDensityOperatorError when the design is built.
+    """
+
+    input_states: np.ndarray
     description: str
 
+    def __post_init__(self):
+        stack = np.stack([validate_density(s, dim=3) for s in self.input_states])
+        stack.flags.writeable = False
+        object.__setattr__(self, "input_states", stack)
 
+
+@functools.cache
 def default_design() -> TomographyDesign:
     """Nine pure qutrit states spanning the full operator space.
 
     Order: the three basis states |0>, |1>, |2>; the three equal
     superpositions (|j> + |k>)/sqrt2 for j < k; the three phased ones
-    (|j> + i|k>)/sqrt2 for j < k.
+    (|j> + i|k>)/sqrt2 for j < k. Every call returns the same design, built
+    on the first call; its states are read-only.
     """
     kets = []
     basis = np.eye(3, dtype=complex)
@@ -134,37 +147,6 @@ def dishonest_prover(unitaries, probs) -> ProverModel:
     return ProverModel(kind="dishonest", unitaries=mats, probs=ps)
 
 
-def _embed_unitary(u: np.ndarray) -> np.ndarray:
-    out = np.eye(3, dtype=complex)
-    out[:2, :2] = u
-    return out
-
-
-def _response(model, eta, sigma, n, rng, exact):
-    """(ratio, state) on one input; branch j succeeds with probability q_j and returns states[j].
-
-    Exact: (s * sum q, sum_j q_j states[j] / sum q); sampled: (s * n / copies,
-    sum_j counts_j states[j] / n), with s the prover's ratio scale.
-    """
-    if model.kind == "honest":
-        block = sigma[:2, :2]
-        if float(np.trace(block).real) < _ZERO_BLOCK_CUTOFF:
-            # the metric channel annihilates inputs outside the qubit block
-            return 0.0, np.zeros((3, 3), dtype=complex)
-        state, prob, scale = _gate(eta, block)
-        q, states = np.array([prob]), embed(state)[None]
-    else:
-        q, scale = np.array(model.probs), 1
-        states = np.array([w.conj().T @ sigma @ w for w in map(_embed_unitary, model.unitaries)])
-    if exact:
-        p = float(q.sum())
-        weights, ratio = q / p, scale * p
-    else:
-        _, ratio, counts = _draw(rng, q, n, scale)
-        weights = counts / float(n)
-    return ratio, np.tensordot(weights, states, axes=1)
-
-
 def run_prover(
     model: ProverModel,
     eta: MetricOperator,
@@ -175,17 +157,45 @@ def run_prover(
 ) -> list:
     """Collect (success_ratio, returned_state) for every design input.
 
-    The inputs run in order on the calling thread. Input i draws from its
-    own stream rng.derive(i), so its draws depend only on the seed and its
-    index, not on what the other inputs drew.
+    Branch j of input i succeeds with per-copy probability q[i, j] and
+    returns branches[i, j]; one dilation projects every honest input, and
+    one product forms every dishonest branch. Exact: (s * sum q, sum_j q_j
+    branches[j] / sum q); sampled: (s * n / copies, sum_j counts_j
+    branches[j] / n), with s the prover's ratio scale. Input i draws from
+    its own stream rng.derive(i), so its draws depend only on the seed and i.
     """
     if eta.dim != 2:
         raise DimMismatchError(f"the game is played over a qubit metric, got dim {eta.dim}")
     _require_subidentity(eta)
     if not exact:
         n = _require_shot_count(n)
-    inputs = [validate_density(s, dim=3) for s in design.input_states]
-    return [_response(model, eta, s, n, rng.derive(i), exact) for i, s in enumerate(inputs)]
+    sigma = design.input_states
+    if model.kind == "honest":
+        # the metric channel annihilates inputs outside the qubit block
+        live = np.trace(sigma[:, :2, :2], axis1=1, axis2=2).real >= _ZERO_BLOCK_CUTOFF
+        eta_tilde, scale = normalize_metric(eta)
+        states = np.zeros_like(sigma)
+        states[:, :2, :2] = sigma[:, :2, :2]
+        block, prob = _project(build_dilation(eta_tilde), states)
+        states[live, :2, :2] = block[live] / prob[live, None, None]
+        q, branches = prob[:, None], states[:, None]
+    else:
+        live, scale = np.ones(len(sigma), dtype=bool), 1
+        w = np.tile(np.eye(3, dtype=complex), (len(model.unitaries), 1, 1))
+        w[:, :2, :2] = model.unitaries
+        q = np.broadcast_to(model.probs, (len(sigma), len(model.probs)))
+        branches = w.conj().swapaxes(1, 2) @ sigma[:, None] @ w
+    responses = []
+    for i in range(len(sigma)):
+        if not live[i]:
+            responses.append((0.0, np.zeros((3, 3), dtype=complex)))
+        elif exact:
+            p = float(q[i].sum())
+            responses.append((scale * p, np.tensordot(q[i] / p, branches[i], axes=1)))
+        else:
+            _, ratio, counts = _draw(rng.derive(i), q[i], n, scale)
+            responses.append((ratio, np.tensordot(counts / float(n), branches[i], axes=1)))
+    return responses
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +230,7 @@ def reconstruct(responses, design: TomographyDesign, shots_per_input: int = 0) -
     inputs = design.input_states
     if len(responses) != len(inputs):
         raise MetriqError(f"got {len(responses)} responses for {len(inputs)} inputs")
-    a = np.stack([np.asarray(s, dtype=complex).reshape(-1) for s in inputs])
+    a = inputs.reshape(len(inputs), -1)
     b = np.stack(
         [float(r) * np.asarray(s, dtype=complex).reshape(-1) for r, s in responses]
     )

@@ -69,8 +69,10 @@ def test_eig_rejects_bad_input():
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(MetriqError):
-        hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # a non-finite real or imaginary part alone is refused
+    for bad in (np.nan, complex(1.0, np.inf), complex(1.0, np.nan)):
+        with pytest.raises(MetriqError, match="entries must be finite"):
+            hermitian_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_psd_sqrt_examples():

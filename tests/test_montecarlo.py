@@ -191,25 +191,36 @@ def test_pt_input_validation():
 
 
 def test_gate_checks_no_state_twice():
-    # callers validate their states once; the dilation gate must not check them again
-    from metriq import dilation
-    from metriq.tomography import default_design, honest_prover, run_prover
+    # callers validate their states once; the dilation gate must not check them
+    # again, and a game reads the states its design checked when it was built
+    from metriq import dilation, tomography
+    from metriq.tomography import (
+        TomographyDesign, default_design, dishonest_prover, honest_prover, run_prover,
+    )
 
-    validate = dilation.validate_density
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return validate(*args, **kwargs)
+    def counting(module):
+        validate = module.validate_density
 
-    with mock.patch.object(dilation, "validate_density", counted):
+        def counted(*args, **kwargs):
+            calls.append(module.__name__)
+            return validate(*args, **kwargs)
+
+        return mock.patch.object(module, "validate_density", counted)
+
+    with counting(dilation), counting(tomography):
+        design = TomographyDesign(default_design().input_states, "a copy of the default")
+        assert calls == ["metriq.tomography"] * 9
+        calls.clear()
         simulate_g_eta(ETA2, RHO0, 100, RngStream(seed=1))
         simulate_pt(reference_system(), RHO0, 1.0, 100, RngStream(seed=1))
-        for exact in (True, False):
-            run_prover(honest_prover(), ETA2, default_design(), 100, RngStream(seed=1), exact=exact)
+        for model in (honest_prover(), dishonest_prover([np.eye(2)], [0.5])):
+            for exact in (True, False):
+                run_prover(model, ETA2, design, 100, RngStream(seed=1), exact=exact)
         assert calls == []
         dilation.postselect(dilation.build_dilation(dilation.normalize_metric(ETA2)[0]), embed(RHO0))
-        assert calls == [1]
+        assert calls == ["metriq.dilation"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the verification game: designs, provers, reconstruction, decision."""
 
+import hashlib
 import math
 import re
 import threading
@@ -15,6 +16,7 @@ from metriq.dilation import build_dilation, embed, normalize_metric, postselect
 from metriq.errors import (
     DegenerateMetricError,
     DimMismatchError,
+    InvalidDensityOperatorError,
     IterationCapWarning,
     MetricExceedsIdentityError,
     MetriqError,
@@ -27,6 +29,7 @@ from metriq.rng import RngStream
 from metriq import tomography
 from metriq.tomography import (
     ReconstructedChannel,
+    TomographyDesign,
     _choi_bound,
     _herm3_trace_norm,
     _herm_coords,
@@ -94,6 +97,22 @@ def test_default_design_spans_operator_space():
     design = default_design()
     stacked = np.stack([s.reshape(-1) for s in design.input_states])
     assert np.linalg.matrix_rank(stacked) == 9
+
+
+def test_design_refuses_invalid_states_when_built():
+    good = tuple(default_design().input_states[:8])
+    for bad in (np.eye(2) / 2, np.diag([1.0, -0.1, 0.1]), np.eye(3) / 2):
+        with pytest.raises(InvalidDensityOperatorError):
+            TomographyDesign(input_states=(*good, bad), description="one bad state")
+
+
+def test_default_design_is_built_once_and_read_only():
+    design = default_design()
+    assert default_design() is design
+    with pytest.raises(ValueError, match="read-only"):
+        design.input_states[0][0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        design.input_states[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +346,33 @@ def test_one_branch_sampled_state_is_the_exact_state():
             assert np.array_equal(s_exact, s_sampled)
 
 
+def prover_bytes_digest():
+    """SHA-256 over every ratio and state of honest and 1-, 2- and 3-unitary games."""
+    rng = RngStream(seed=67)
+    mats = [rng.haar_unitary(2, start=100 * j) for j in range(3)]
+    models = (
+        honest_prover(),
+        dishonest_prover(mats[:1], [0.7]),
+        dishonest_prover(mats[:2], [0.25, 0.5]),
+        dishonest_prover(mats, [0.3, 0.0, 0.45]),
+    )
+    digest = hashlib.sha256()
+    for eta in (validate_metric(ETA2), acceptance_metric(5003)):
+        for k, model in enumerate(models):
+            for n, exact in ((0, True), (1, False), (1000, False), (8193, False)):
+                rng = RngStream(seed=n + 1, stream_id=k)
+                for ratio, state in run_prover(model, eta, default_design(), n, rng, exact=exact):
+                    digest.update(np.array([ratio], dtype="<f8").tobytes())
+                    digest.update(np.asarray(state, dtype="<c16").tobytes())
+    return digest.hexdigest()
+
+
+def test_prover_bytes_are_pinned():
+    # computed on the one-input-at-a-time games that the batched game replaced;
+    # only a new sampler may change it
+    assert prover_bytes_digest() == "f58e3fbd4fcc708dae9aa14a2195325ac58052c72927fa75a2be9e93ec5529a3"
+
+
 # ---------------------------------------------------------------------------
 # run_prover plumbing
 # ---------------------------------------------------------------------------
@@ -439,8 +485,6 @@ def test_reconstruct_response_count_mismatch():
 
 
 def test_reconstruct_singular_design():
-    from metriq.tomography import TomographyDesign
-
     state = default_design().input_states[0]
     bad = TomographyDesign(input_states=(state,) * 9, description="degenerate")
     with pytest.raises(SingularDesignError):
