@@ -112,27 +112,51 @@ class RngStream:
         """Standard normals via Box-Muller.
 
         Consumes 2*ceil(count/2) slots beginning at `start`; even counts
-        therefore consume exactly `count` slots.
+        therefore consume exactly `count` slots. Slot 2i gives pair i's
+        radius and slot 2i + 1 its angle, and the pair is (r cos, r sin).
         """
         count, start = _require_slots(count, start)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs, start)
-        # 1 - u keeps the log argument in (0, 1]
-        radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        angle = 2.0 * np.pi * u[1::2]
+        # in place on the uniforms; 1 - u keeps the log argument in (0, 1]
+        radius, angle = u[0::2], u[1::2]
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
         z = np.empty(2 * pairs, dtype=np.float64)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        np.cos(angle, out=z[0::2])
+        np.sin(angle, out=z[1::2])
+        z[0::2] *= radius
+        z[1::2] *= radius
         return z[:count]
 
     def haar_states(self, count: int, dim: int, start: int = 0) -> np.ndarray:
         """(count, dim) array of Haar-random pure state vectors.
 
-        Consumes 2*dim*count slots beginning at `start`.
+        Consumes 2*dim*count slots beginning at `start`. Each state is a
+        complex Gaussian vector divided by its norm (Mezzadri, Notices AMS
+        54, 592 (2007)), in place. The squared norms come from the complex
+        product conj(x) x, as in np.linalg.norm: numpy's SIMD loops may
+        round its real part differently from re*re + im*im.
         """
         psi = self.normals(2 * dim * count, start).view(complex).reshape(count, dim)
-        norms = np.linalg.norm(psi, axis=1, keepdims=True)
-        return psi / norms
+        sq = psi.conj()
+        sq *= psi
+        sq = sq.real
+        if dim < 8:
+            # numpy's pairwise sum adds fewer than 8 terms in order; column by
+            # column gives the same sums without a call per row
+            norms = sq[:, 0].copy()
+            for j in range(1, dim):
+                norms += sq[:, j]
+        else:
+            norms = np.add.reduce(sq, axis=1)
+        np.sqrt(norms, out=norms)
+        # a complex division, not a multiply by 1/norm: their signed zeros differ
+        psi /= norms[:, None]
+        return psi
 
     def haar_unitary(self, dim: int, start: int = 0) -> np.ndarray:
         """One Haar-random dim x dim unitary; consumes 2*dim*dim slots.

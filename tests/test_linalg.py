@@ -75,6 +75,25 @@ def test_eig_rejects_bad_input():
             hermitian_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_hermitian_input_skips_the_svd_norms(monkeypatch):
+    # the gate's two 2-norms are SVDs; a Hermitian matrix passes on a cheaper bound
+    orders = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    rng = np.random.default_rng(44)
+    for m in (ETA2, random_hermitian(rng, 3), random_hermitian(rng, 9), np.eye(1), np.diag([1e300, -1e-300])):
+        hermitian_eig(m)
+    assert 2 not in orders
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert 2 in orders
+
+
 def test_psd_sqrt_examples():
     assert np.abs(psd_sqrt(np.eye(3)) - np.eye(3)).max() < 1e-14
     assert np.abs(psd_sqrt(np.diag([4.0, 1.0])) - np.diag([2.0, 1.0])).max() < 1e-14

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from metriq.errors import DegenerateMetricError, NotHermitianError
 from metriq.hilbert import validate_metric
-from metriq.linalg import hermitian_eig
+from metriq.linalg import _HERM_TOL, hermitian_eig
 from metriq.rng import RngStream
 from metriq.tomography import threshold
 
@@ -70,6 +70,36 @@ def test_hermiticity_gate_is_relative_up_to_the_float_maximum(seed, n, log_scale
     with pytest.raises(NotHermitianError):
         hermitian_eig(herm + 1e-6 * skew)
     hermitian_eig(herm + 1e-12 * skew)
+
+def _gate_rejects_reference(m):
+    """hermitian_eig's Hermiticity gate as first written, with both SVD norms on every call."""
+    shrink = 0.5 ** m.shape[0].bit_length()
+    small = m * shrink
+    defect = float(np.linalg.norm(small - small.conj().T, 2))
+    return defect > _HERM_TOL * shrink and defect > _HERM_TOL * max(shrink, float(np.linalg.norm(small, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 9]), st.floats(-13.0, -8.0), st.floats(-6.0, 6.0))
+@example(seed=1, n=2, log_defect=-10.0, log_scale=0.0)
+@example(seed=2, n=3, log_defect=-10.0 - 1e-9, log_scale=3.0)
+@example(seed=3, n=2, log_defect=-10.30103, log_scale=-1e-9)
+def test_hermiticity_gate_matches_the_two_norm_rule(seed, n, log_defect, log_scale):
+    # M = scale (H + defect S) with ||H||_op = ||S||_op = 1 straddles the 1e-10
+    # gate, relative above scale 1 and absolute below; the cheap pass never
+    # changes a verdict
+    g = RngStream(seed=seed).normals(2 * n * n).view(complex).reshape(n, n)
+    herm = (g + g.conj().T) / 2
+    herm /= np.linalg.norm(herm, 2)
+    skew = (g - g.conj().T) / 2
+    skew /= np.linalg.norm(skew, 2)
+    m = 10.0**log_scale * (herm + 10.0**log_defect * skew)
+    if _gate_rejects_reference(m):
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(m)
+    else:
+        hermitian_eig(m)
+
 
 def _qubit_metric(seed, low, gap):
     u = RngStream(seed=seed).haar_unitary(2)

@@ -94,6 +94,43 @@ def test_haar_draws_read_the_normals_as_complex_pairs():
         assert np.array_equal(rng.haar_unitary(dim, start=77).view(np.uint64), q.view(np.uint64))
 
 
+def _normals_reference(rng, count, start=0):
+    """Box-Muller as an expression of temporaries, as normals once computed it."""
+    pairs = (count + 1) // 2
+    u = rng.uniforms(2 * pairs, start)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    z = np.empty(2 * pairs, dtype=np.float64)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:count]
+
+
+def _haar_states_reference(rng, count, dim, start=0):
+    psi = _normals_reference(rng, 2 * dim * count, start).view(complex).reshape(count, dim)
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def test_in_place_draws_match_the_expression_form():
+    # normals and haar_states work in place; every byte is the expression's
+    rng = RngStream(0xB07E57A7E5, 4)
+    chunk = _ORACLE_CHUNK
+    for count in (1, 7, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        # an odd count reads one slot past it; the last start ends on slot 2^64 - 1
+        for start in (0, 13, 2**64 - count - count % 2):
+            got, ref = rng.normals(count, start), _normals_reference(rng, count, start)
+            assert got.tobytes() == ref.tobytes(), (count, start)
+        for dim in (1, 2, 3, 4):
+            for start in (0, 13, 2**64 - 2 * dim * count):
+                got, ref = rng.haar_states(count, dim, start), _haar_states_reference(rng, count, dim, start)
+                assert got.shape == (count, dim)
+                assert got.tobytes() == ref.tobytes(), (count, dim, start)
+    # rows of 8 or more are summed by np.add.reduce, as np.linalg.norm sums them
+    for dim in (7, 8, 9, 16):
+        got, ref = rng.haar_states(chunk + 1, dim, 13), _haar_states_reference(rng, chunk + 1, dim, 13)
+        assert got.tobytes() == ref.tobytes(), dim
+
+
 def test_negative_counts_and_starts_are_refused():
     s = RngStream(7)
     draws = (s.words, s.uniforms, s.normals, lambda count, start=0: s.haar_states(count, 3, start))
