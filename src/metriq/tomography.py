@@ -441,10 +441,7 @@ def _herm_from_coords(x: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-_HERM3_ROWS = 15  # scratch rows _herm3_trace_norm works in
-
-
-def _herm3_trace_norm(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
     """Sum of |eigenvalues| of Hermitian 3x3 matrices given as (9, n) coordinates.
 
     Trigonometric solution of the characteristic cubic of the traceless
@@ -458,150 +455,69 @@ def _herm3_trace_norm(x: np.ndarray, scratch: np.ndarray | None = None) -> np.nd
     ||C||_F |B|_F / 3 = 2p^3 sin 3phi, with no cancellation near degeneracy.
     The sum is the best of the four monotone sign patterns of the sorted
     eigenvalues, so only the largest and the smallest are formed.
-
-    The kernel runs in place on the rows of scratch, a float array of shape
-    (_HERM3_ROWS, m) with m >= n, so a caller that makes many calls
-    allocates nothing per call; without one it allocates its own. The
-    result is a row of scratch, valid until its next use. x is never
-    written, and a row of x may be a scalar (a zero-padded qubit). Every
-    value is formed by the same operations in the same order as in the
-    expression form, so the bytes do not depend on scratch.
     """
     d0, d1, d2, r01, r02, r12, i01, i02, i12 = x
-    n = len(d0)
-    if scratch is None:
-        scratch = np.empty((_HERM3_ROWS, n))
-    q, a0, a1, a2, n01, n02, n12, s00, s11, s22, s2, det, b1, b2, t = scratch[:, :n]
-    np.add(d0, d1, out=q)
-    q += d2
-    q /= 3.0
-    np.subtract(d0, q, out=a0)
-    np.subtract(d1, q, out=a1)
-    np.subtract(d2, q, out=a2)
-    for nrm, re, im in ((n01, r01, i01), (n02, r02, i02), (n12, r12, i12)):
-        np.multiply(re, re, out=nrm)
-        np.multiply(im, im, out=t)
-        nrm += t
-    # det B = a0 a1 a2 + 2 Re(b01 b12 conj(b02)) - a0 n12 - a1 n02 - a2 n01, with
-    # b1 + i b2 = b01 b12 kept for C's (0, 2) entry
-    np.multiply(r01, r12, out=b1)
-    np.multiply(i01, i12, out=t)
-    b1 -= t
-    np.multiply(r01, i12, out=b2)
-    np.multiply(i01, r12, out=t)
-    b2 += t
-    np.multiply(b1, r02, out=t)
-    np.multiply(b2, i02, out=s00)
-    t += s00
-    t *= 2.0
-    np.multiply(a0, a1, out=det)
-    det *= a2
-    det += t
-    for a, nrm in ((a0, n12), (a1, n02), (a2, n01)):
-        np.multiply(a, nrm, out=t)
-        det -= t
+    q = (d0 + d1 + d2) / 3.0
+    a0 = d0 - q
+    a1 = d1 - q
+    a2 = d2 - q
+    n01 = r01 * r01 + i01 * i01
+    n02 = r02 * r02 + i02 * i02
+    n12 = r12 * r12 + i12 * i12
     # diagonal of B^2 and its trace, 6 p^2
-    for s, a, n_a, n_b in ((s00, a0, n01, n02), (s11, a1, n01, n12), (s22, a2, n02, n12)):
-        np.multiply(a, a, out=s)
-        s += n_a
-        s += n_b
-    np.add(s00, s11, out=s2)
-    s2 += s22
+    s00 = a0 * a0 + n01 + n02
+    s11 = a1 * a1 + n01 + n12
+    s22 = a2 * a2 + n02 + n12
+    s2 = s00 + s11 + s22
+    det = (
+        a0 * a1 * a2
+        + 2.0 * ((r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02)
+        - a0 * n12
+        - a1 * n02
+        - a2 * n01
+    )
     # the floor only reaches rows whose det has underflowed to 0, where k = 0
-    k, m = n01, n02
-    np.multiply(det, 3.0, out=k)
-    np.maximum(s2, np.finfo(float).tiny, out=t)
-    k /= t
-    np.divide(s2, 3.0, out=m)
-    # ||C||_F^2: the diagonal's squares summed into s00, then twice the upper
-    # triangle's, whose entries use a_i + a_j = -a_l
-    for s, a in ((s00, a0), (s11, a1), (s22, a2)):
-        s -= m
-        np.multiply(k, a, out=t)
-        s -= t
-        s *= s
-    s00 += s11
-    s00 += s22
-    c2, off, ak, v = s00, n12, s11, s22
-    np.add(a2, k, out=ak)
-    np.multiply(r02, r12, out=off)
-    np.multiply(i02, i12, out=t)
-    off += t
-    np.multiply(ak, r01, out=t)
-    off -= t
-    off *= off
-    np.multiply(i02, r12, out=v)
-    np.multiply(r02, i12, out=t)
-    v -= t
-    np.multiply(ak, i01, out=t)
-    v -= t
-    v *= v
-    off += v
-    np.add(a1, k, out=ak)
-    for b, c in ((b1, r02), (b2, i02)):
-        np.multiply(ak, c, out=t)
-        np.subtract(b, t, out=v)
-        v *= v
-        off += v
-    np.add(a0, k, out=ak)
-    np.multiply(r01, r02, out=v)
-    np.multiply(i01, i02, out=t)
-    v += t
-    np.multiply(ak, r12, out=t)
-    v -= t
-    v *= v
-    off += v
-    np.multiply(r01, i02, out=v)
-    np.multiply(i01, r02, out=t)
-    v -= t
-    np.multiply(ak, i12, out=t)
-    v -= t
-    v *= v
-    off += v
-    off *= 2.0
-    c2 += off
-    # phi = atan2(sqrt(s2 c2) / 3, det) / 3 and 2p = sqrt(2 s2 / 3)
-    phi, two_p, top = c2, s2, t
-    phi *= s2
-    np.sqrt(phi, out=phi)
-    phi /= 3.0
-    np.arctan2(phi, det, out=phi)
-    phi /= 3.0
-    two_p *= 2.0 / 3.0
-    np.sqrt(two_p, out=two_p)
-    np.cos(phi, out=top)
-    top *= two_p
-    phi += 2.0 * np.pi / 3.0
-    bottom = phi
-    np.cos(phi, out=bottom)
-    bottom *= two_p
-    # max(|3q|, 2 top - q, q - 2 bottom)
-    top *= 2.0
-    top -= q
-    bottom *= 2.0
-    np.subtract(q, bottom, out=bottom)
-    np.maximum(top, bottom, out=top)
-    q *= 3.0
-    np.abs(q, out=q)
-    return np.maximum(q, top, out=q)
+    k = 3.0 * det / np.maximum(s2, np.finfo(float).tiny)
+    m = s2 / 3.0
+    # off-diagonal of B^2 uses a_i + a_j = -a_l
+    c2 = (
+        (s00 - m - k * a0) ** 2
+        + (s11 - m - k * a1) ** 2
+        + (s22 - m - k * a2) ** 2
+        + 2.0
+        * (
+            (r02 * r12 + i02 * i12 - (a2 + k) * r01) ** 2
+            + (i02 * r12 - r02 * i12 - (a2 + k) * i01) ** 2
+            + (r01 * r12 - i01 * i12 - (a1 + k) * r02) ** 2
+            + (r01 * i12 + i01 * r12 - (a1 + k) * i02) ** 2
+            + (r01 * r02 + i01 * i02 - (a0 + k) * r12) ** 2
+            + (r01 * i02 - i01 * r02 - (a0 + k) * i12) ** 2
+        )
+    )
+    phi = np.arctan2(np.sqrt(s2 * c2) / 3.0, det) / 3.0
+    two_p = np.sqrt(s2 * (2.0 / 3.0))
+    top = two_p * np.cos(phi)
+    bottom = two_p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return np.maximum(np.abs(3.0 * q), np.maximum(2.0 * top - q, q - 2.0 * bottom))
 
 
 _ORACLE_SEED = 0xB07E57A7E5
 _ORACLE_CHUNK = 1 << 14
-# one map: about 12 s at 0.39 us per d = 3 identity probe, with the kernel on
+# one map: about 10 s at 0.32 us per d = 3 identity probe, with the kernel on
 # every probe (2-core x86 VM, numpy 2.4.6, one BLAS thread). The limit was set
 # at 20 s for 0.63 us per probe, and it stays, so no request changes whether
 # it is accepted
 _ORACLE_MAX_SAMPLES = 31 * 10**6
 # a request's cost in evaluations of one d = 3 map on one probe (a matmul
 # column, a bound and a trace norm, about 0.10 us): drawing a probe and
-# forming its coordinates costs about 3 (0.29 us), and setting up a map about 1000
+# forming its coordinates costs about 2 (0.22 us) and is charged 3, and setting
+# up a map costs about 1000
 _ORACLE_DRAW_COST = 3
 _ORACLE_MAP_COST = 1000
 
 
 def _oracle_cost(samples: int, maps: int, d: int) -> int:
-    # a padded qubit probe costs less than a qutrit one (0.24 against 0.39 us
+    # a padded qubit probe costs less than a qutrit one (0.21 against 0.32 us
     # per identity probe, draw included). d > 3 has no closed form:
     # the batched eigvalsh took at most 0.2 d^2 us per probe for 4 <= d <= 16
     # (identity maps, so no probe skipped it; one BLAS thread), charged with a
@@ -611,11 +527,8 @@ def _oracle_cost(samples: int, maps: int, d: int) -> int:
     return samples * (maps * per_eval + _ORACLE_DRAW_COST) + maps * _ORACLE_MAP_COST
 
 
-def _herm_trace_norm(x: np.ndarray, d: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Sum of |eigenvalues| of Hermitian d x d matrices given as (d*d, n) coordinates.
-
-    For d <= 3, scratch is _herm3_trace_norm's, and the result is one of its rows.
-    """
+def _herm_trace_norm(x: np.ndarray, d: int) -> np.ndarray:
+    """Sum of |eigenvalues| of Hermitian d x d matrices given as (d*d, n) coordinates."""
     if d < 3:
         # A is the qutrit matrix A + 0 (direct sum), whose added eigenvalues are
         # 0; its diagonal and (0, 1) entry fill qutrit coordinates 0, 1, 3 and 6
@@ -624,7 +537,7 @@ def _herm_trace_norm(x: np.ndarray, d: int, scratch: np.ndarray | None = None) -
             padded[slot] = row
         x = padded
     if d <= 3:
-        return _herm3_trace_norm(x, scratch)
+        return _herm3_trace_norm(x)
     return np.abs(np.linalg.eigvalsh(_herm_from_coords(x.T, d))).sum(axis=1)
 
 
@@ -691,17 +604,16 @@ def sampled_one_to_one(
     probes is one real matmul per map, and for d <= 3 the trace norm comes
     from the qutrit closed form on the coordinates. A chunk holds
     min(_ORACLE_CHUNK, 9 _ORACLE_CHUNK / d^2) probes, so each buffer stays
-    near 1 MB at every d. The pipeline runs in place: haar_states
-    normalizes its own draw, the coordinates and the matmul go into two
-    (d^2, chunk) buffers, and the qutrit kernel works in one scratch
-    array, all allocated once per call. Each value is rounded as in the
-    expression form, so the maxima are the same bit for bit. A probe whose bound sqrt(d) ||A||_F on the
-    trace norm cannot beat its map's running maximum skips the trace-norm
-    kernel, which leaves every maximum as it would be with the kernel run on
-    every probe.
+    near 1 MB at every d. haar_states normalizes its own draw in place, and
+    the coordinates and the matmul go into two (d^2, chunk) buffers
+    allocated once per call; each value is rounded as in the expression
+    form, so the maxima are the same bit for bit. A probe whose bound
+    sqrt(d) ||A||_F on the trace norm cannot beat its map's running maximum
+    skips the trace-norm kernel, which leaves every maximum as it would be
+    with the kernel run on every probe.
 
     A request may cost no more than one d = 3 map with _ORACLE_MAX_SAMPLES
-    = 3.1e7 probes (see _oracle_cost), at most about 12 s whatever k and d
+    = 3.1e7 probes (see _oracle_cost), at most about 10 s whatever k and d
     are; criterion 8's 120 maps at 1e6 probes fit. For d > 3 each probe on
     each map costs more, so fewer are accepted. A larger request raises
     MetriqError before any probe is drawn.
@@ -723,7 +635,6 @@ def sampled_one_to_one(
     chunk = min(_ORACLE_CHUNK, 9 * _ORACLE_CHUNK // (d * d))
     # one set of buffers per call: fresh ones per chunk would page-fault
     probe_buf, out_buf = np.empty((2, d * d * chunk))
-    scratch = np.empty((_HERM3_ROWS, chunk)) if d <= 3 else None
     best = np.zeros(len(stack))
     done = 0
     while done < samples:
@@ -744,7 +655,7 @@ def sampled_one_to_one(
             if len(live):
                 # no copy when every probe is live, as in the first chunk
                 live_out = out[:, live] if len(live) < count else out
-                best[i] = max(best[i], _herm_trace_norm(live_out, d, scratch).max())
+                best[i] = max(best[i], _herm_trace_norm(live_out, d).max())
         done += count
     return float(best[0]) if maps.ndim == 2 else best
 

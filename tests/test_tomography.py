@@ -985,88 +985,6 @@ def test_herm2_trace_norm_property(mat):
     assert abs(got - np.abs(lam).sum()) <= 1e-12 * max(1.0, np.abs(lam).max())
 
 
-def _herm3_trace_norm_reference(x):
-    """The qutrit kernel as an expression of temporaries, as it was first written."""
-    d0, d1, d2, r01, r02, r12, i01, i02, i12 = x
-    q = (d0 + d1 + d2) / 3.0
-    a0 = d0 - q
-    a1 = d1 - q
-    a2 = d2 - q
-    n01 = r01 * r01 + i01 * i01
-    n02 = r02 * r02 + i02 * i02
-    n12 = r12 * r12 + i12 * i12
-    s00 = a0 * a0 + n01 + n02
-    s11 = a1 * a1 + n01 + n12
-    s22 = a2 * a2 + n02 + n12
-    s2 = s00 + s11 + s22
-    det = (
-        a0 * a1 * a2
-        + 2.0 * ((r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02)
-        - a0 * n12
-        - a1 * n02
-        - a2 * n01
-    )
-    k = 3.0 * det / np.maximum(s2, np.finfo(float).tiny)
-    m = s2 / 3.0
-    c2 = (
-        (s00 - m - k * a0) ** 2
-        + (s11 - m - k * a1) ** 2
-        + (s22 - m - k * a2) ** 2
-        + 2.0
-        * (
-            (r02 * r12 + i02 * i12 - (a2 + k) * r01) ** 2
-            + (i02 * r12 - r02 * i12 - (a2 + k) * i01) ** 2
-            + (r01 * r12 - i01 * i12 - (a1 + k) * r02) ** 2
-            + (r01 * i12 + i01 * r12 - (a1 + k) * i02) ** 2
-            + (r01 * r02 + i01 * i02 - (a0 + k) * r12) ** 2
-            + (r01 * i02 - i01 * r02 - (a0 + k) * i12) ** 2
-        )
-    )
-    phi = np.arctan2(np.sqrt(s2 * c2) / 3.0, det) / 3.0
-    two_p = np.sqrt(s2 * (2.0 / 3.0))
-    top = two_p * np.cos(phi)
-    bottom = two_p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.maximum(np.abs(3.0 * q), np.maximum(2.0 * top - q, q - 2.0 * bottom))
-
-
-def test_in_place_kernel_matches_the_expression_form():
-    from metriq.tomography import _HERM3_ROWS, _ORACLE_CHUNK
-
-    rng = RngStream(seed=94)
-    n = 5000
-    raw = rng.normals(18 * n).reshape(n, 18)
-    mats = raw[:, :9].reshape(n, 3, 3) + 1j * raw[:, 9:].reshape(n, 3, 3)
-    mats = (mats + mats.conj().transpose(0, 2, 1)) * (10.0 ** (12.0 * rng.uniforms(n) - 6.0))[:, None, None]
-    u = rng.haar_states(3 * n, 3, start=18 * n).reshape(n, 3, 3)
-    lam = rng.normals(3 * n, start=36 * n).reshape(n, 3)
-    rank1 = lam[:, :1, None] * u[:, 0, :, None] * u[:, 0, None, :].conj()
-    # two eigenvalues 1e-14 to 1e-8 apart, and a pair straddling zero
-    gap = 10.0 ** (-14.0 + 6.0 * rng.uniforms(n, start=39 * n))
-    lam[:, 1] = lam[:, 0] + gap
-    near = (u.transpose(0, 2, 1) * lam[:, None, :]) @ u.conj()
-    lam[:, 1] = -gap
-    lam[:, 2] = 0.0
-    straddle = (u.transpose(0, 2, 1) * lam[:, None, :]) @ u.conj()
-    scalars = np.multiply.outer([0.0, -0.0, 2.5, -1e-300, 1e300], np.eye(3)).astype(complex)
-    inputs = [_herm_coords(a).T for a in (mats, rank1, near, straddle, scalars)]
-    # one scratch through every input, largest first, so a later, shorter
-    # input runs over the columns an earlier one left behind
-    scratch = np.full((_HERM3_ROWS, _ORACLE_CHUNK), np.nan)
-    for x in inputs + inputs[:1]:
-        ref = _herm3_trace_norm_reference(x)
-        before = x.copy()
-        assert _herm3_trace_norm(x, scratch).tobytes() == ref.tobytes()
-        assert _herm3_trace_norm(x).tobytes() == ref.tobytes()
-        assert x.tobytes() == before.tobytes()
-    # a qubit is the qutrit A + 0, with scalar zero rows where A has no entry
-    pair = 0.5 * (mats[:, :2, :2] + mats[:, :2, :2].conj().transpose(0, 2, 1))
-    for x in (_herm_coords(pair).T, _herm_coords(np.multiply.outer([0.0, 3.0], np.eye(2))).T):
-        padded = [x[0], x[1], 0.0, x[2], 0.0, 0.0, x[3], 0.0, 0.0]
-        ref = _herm3_trace_norm_reference(padded)
-        assert _herm_trace_norm(x, 2, scratch).tobytes() == ref.tobytes()
-        assert _herm_trace_norm(x, 2).tobytes() == ref.tobytes()
-
-
 def test_probe_coordinates_match_the_expression_form():
     from metriq.tomography import _probe_coords
 
