@@ -155,9 +155,59 @@ class RngStream:
         else:
             norms = np.add.reduce(sq, axis=1)
         np.sqrt(norms, out=norms)
+        if dim == 1:
+            # the stream's one zero word, as a radius slot, gives a zero
+            # vector, and only a one-entry state has no other pair to save it
+            zero = norms == 0.0
+            psi[zero] = 1.0
+            norms[zero] = 1.0
         # a complex division, not a multiply by 1/norm: their signed zeros differ
         psi /= norms[:, None]
         return psi
+
+    def haar_rays(self, count: int, dim: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Haar-random rays |psi><psi| on C^dim, as (re, im) planes of psi.
+
+        Each plane is a C-contiguous (dim, count) array, and column i is ray
+        i's unit vector, with entry 0 real and >= 0 (the global phase a ray
+        does not have). Ray i reads the 2*dim - 1 slots that begin at
+        start + (2*dim - 1)*i, so a draw split anywhere gives the same rays.
+        The weights |psi_k|^2 of a Haar ray are uniform on the simplex and
+        its relative phases are independent and uniform (Zyczkowski and
+        Sommers, J. Phys. A 34, 7111 (2001)); normalized exponentials
+        E_k = -log1p(-u_k) give such weights (Devroye, Non-Uniform Random
+        Variate Generation (1986), ch. V). So the first dim slots give
+        w_k = E_k / sum(E), summed in k order, and the next dim - 1 give the
+        phases 2 pi u of entries 1..dim-1.
+        """
+        width = 2 * dim - 1
+        slots, start = _require_slots(width * operator.index(count), start)
+        count = slots // width
+        re, im = np.empty((2, dim, count))
+        if dim == 1:
+            # E / E is 1, except at the stream's one zero word, where it is 0 / 0
+            re.fill(1.0)
+            im.fill(0.0)
+            return re, im
+        # one transposing copy, so every ufunc below runs on contiguous rows
+        u = np.ascontiguousarray(self.uniforms(slots, start).reshape(count, width).T)
+        amp, angle = u[:dim], u[dim:]
+        np.negative(amp, out=amp)
+        # log1p(-u) is -E; a ratio of two negated doubles is their ratio, bit for bit
+        np.log1p(amp, out=amp)
+        total = amp[0].copy()
+        for k in range(1, dim):
+            total += amp[k]
+        amp /= total
+        np.sqrt(amp, out=amp)
+        angle *= 2.0 * np.pi
+        re[0] = amp[0]
+        im[0] = 0.0
+        np.cos(angle, out=re[1:])
+        np.sin(angle, out=im[1:])
+        re[1:] *= amp[1:]
+        im[1:] *= amp[1:]
+        return re, im
 
     def haar_unitary(self, dim: int, start: int = 0) -> np.ndarray:
         """One Haar-random dim x dim unitary; consumes 2*dim*dim slots.

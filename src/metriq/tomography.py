@@ -503,21 +503,22 @@ def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
 
 _ORACLE_SEED = 0xB07E57A7E5
 _ORACLE_CHUNK = 1 << 14
-# one map: about 10 s at 0.32 us per d = 3 identity probe, with the kernel on
+# one map: about 7 s at 0.23 us per d = 3 identity probe, with the kernel on
 # every probe (2-core x86 VM, numpy 2.4.6, one BLAS thread). The limit was set
 # at 20 s for 0.63 us per probe, and it stays, so no request changes whether
 # it is accepted
 _ORACLE_MAX_SAMPLES = 31 * 10**6
 # a request's cost in evaluations of one d = 3 map on one probe (a matmul
 # column, a bound and a trace norm, about 0.10 us): drawing a probe and
-# forming its coordinates costs about 2 (0.22 us) and is charged 3, and setting
-# up a map costs about 1000
+# forming its coordinates costs about 1.3 (0.13 us) and is still charged 3, so
+# no request changes whether it is accepted, and setting up a map costs about
+# 1000
 _ORACLE_DRAW_COST = 3
 _ORACLE_MAP_COST = 1000
 
 
 def _oracle_cost(samples: int, maps: int, d: int) -> int:
-    # a padded qubit probe costs less than a qutrit one (0.21 against 0.32 us
+    # a padded qubit probe costs less than a qutrit one (0.20 against 0.23 us
     # per identity probe, draw included). d > 3 has no closed form:
     # the batched eigvalsh took at most 0.2 d^2 us per probe for 4 <= d <= 16
     # (identity maps, so no probe skipped it; one BLAS thread), charged with a
@@ -541,15 +542,16 @@ def _herm_trace_norm(x: np.ndarray, d: int) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(_herm_from_coords(x.T, d))).sum(axis=1)
 
 
-def _probe_coords(psi: np.ndarray, probes: np.ndarray, scratch: np.ndarray) -> None:
+def _probe_coords(planes: tuple[np.ndarray, np.ndarray], probes: np.ndarray, scratch: np.ndarray) -> None:
     """Write the coordinates of |psi><psi| into probes, one probe per column.
 
-    psi is (n, d) and probes and scratch are (d*d, n); scratch's rows are
+    planes are psi's real and imaginary parts, each (d, n) as haar_rays
+    returns them, and probes and scratch are (d*d, n); scratch's rows are
     clobbered. Each coordinate is one product of real and imaginary parts
     plus or minus another, rounded in that order (see _herm_coords).
     """
-    d = psi.shape[1]
-    re, im = psi.real.T, psi.imag.T
+    re, im = planes
+    d = len(re)
     np.multiply(re, re, out=probes[:d])
     np.multiply(im, im, out=scratch[:d])
     probes[:d] += scratch[:d]
@@ -587,10 +589,10 @@ def sampled_one_to_one(
 ) -> float | np.ndarray:
     """Brute-force statistical lower estimate of the (1->1) norm.
 
-    Takes the max of ||Phi(|psi><psi|)||_tr over the Haar-random pure states
-    RngStream(seed).haar_states(samples, d). Converges to the true norm from
-    below as samples grow; used to cross-validate the iterative estimator,
-    not to replace it.
+    Takes the max of ||Phi(|psi><psi|)||_tr over the Haar-random rays
+    RngStream(seed).haar_rays(samples, d); a ray is all the norm needs, not
+    psi's global phase. Converges to the true norm from below as samples
+    grow; used to cross-validate the iterative estimator, not to replace it.
 
     superop is one d^2 x d^2 map, which returns a float, or a (k, d^2, d^2)
     stack of maps, which returns an array of k maxima, each equal to the
@@ -604,10 +606,11 @@ def sampled_one_to_one(
     probes is one real matmul per map, and for d <= 3 the trace norm comes
     from the qutrit closed form on the coordinates. A chunk holds
     min(_ORACLE_CHUNK, 9 _ORACLE_CHUNK / d^2) probes, so each buffer stays
-    near 1 MB at every d. haar_states normalizes its own draw in place, and
-    the coordinates and the matmul go into two (d^2, chunk) buffers
-    allocated once per call; each value is rounded as in the expression
-    form, so the maxima are the same bit for bit. A probe whose bound
+    near 1 MB at every d. haar_rays returns each chunk as contiguous real
+    and imaginary planes, and the coordinates and the matmul go into two
+    (d^2, chunk) buffers allocated once per call; each value is rounded as
+    in the expression form. A ray's slots do not depend on the chunk, so
+    neither do the maxima. A probe whose bound
     sqrt(d) ||A||_F on the trace norm cannot beat its map's running maximum
     skips the trace-norm kernel, which leaves every maximum as it would be
     with the kernel run on every probe.
@@ -639,11 +642,11 @@ def sampled_one_to_one(
     done = 0
     while done < samples:
         count = min(chunk, samples - done)
-        psi = rng.haar_states(count, d, start=2 * d * done)
+        planes = rng.haar_rays(count, d, start=(2 * d - 1) * done)
         # contiguous (d*d, count) views, as a fresh array of that shape would be
         probes = probe_buf[: d * d * count].reshape(d * d, count)
         out = out_buf[: d * d * count].reshape(d * d, count)
-        _probe_coords(psi, probes, out)
+        _probe_coords(planes, probes, out)
         for i, herm_map in enumerate(herm_maps):
             np.matmul(herm_map.T, probes, out=out)
             # ||A||_tr <= sqrt(d) ||A||_F, where off-diagonal coordinates count

@@ -133,7 +133,13 @@ def test_in_place_draws_match_the_expression_form():
 
 def test_negative_counts_and_starts_are_refused():
     s = RngStream(7)
-    draws = (s.words, s.uniforms, s.normals, lambda count, start=0: s.haar_states(count, 3, start))
+    draws = (
+        s.words,
+        s.uniforms,
+        s.normals,
+        lambda count, start=0: s.haar_states(count, 3, start),
+        lambda count, start=0: s.haar_rays(count, 3, start)[0].T,
+    )
     for draw in draws:
         with pytest.raises(ValueError, match="nonnegative"):
             draw(-1)
@@ -150,6 +156,78 @@ def test_negative_counts_and_starts_are_refused():
                 draw(count, start=start)
         assert len(draw(0, start=2**64)) == 0
         assert len(draw(np.int64(3), start=np.uint64(2))) == 3
+
+
+def _zero_slot(s):
+    """The one slot whose word is 0: base + slot * GOLDEN = 0 mod 2^64, since mix64(0) = 0."""
+    return -s._base() * pow(_GOLDEN, -1, 1 << 64) & _MASK
+
+
+def test_the_zero_word_gives_a_unit_vector_at_dim_1():
+    s = RngStream(3)
+    slot = _zero_slot(s)
+    assert s.words(1, start=slot).tolist() == [0]
+    # as a radius slot it gives the Box-Muller pair (0, 0): a one-entry state of norm 0
+    assert s.normals(2, start=slot).tolist() == [0.0, 0.0]
+    assert s.haar_states(1, 1, start=slot).tolist() == [[1.0]]
+    re, im = s.haar_rays(1, 1, start=slot)
+    assert re.tolist() == [[1.0]] and im.tolist() == [[0.0]]
+    # the states around it keep their bytes
+    got = s.haar_states(5, 1, start=slot - 4)
+    assert got[:2].tobytes() == _haar_states_reference(s, 2, 1, slot - 4).tobytes()
+    assert got[3:].tobytes() == _haar_states_reference(s, 2, 1, slot + 2).tobytes()
+    re, im = s.haar_rays(5, 1, start=slot - 2)
+    assert re.tolist() == [[1.0] * 5] and im.tolist() == [[0.0] * 5]
+
+
+def test_haar_rays_contract():
+    rng = RngStream(0xB07E57A7E5, 5)
+    for dim in (1, 2, 3, 4, 9):
+        width = 2 * dim - 1
+        n = 3 * _BLOCK // width + 11
+        re, im = rng.haar_rays(n, dim, start=17)
+        for plane in (re, im):
+            assert plane.shape == (dim, n) and plane.flags.c_contiguous
+        assert np.abs(np.sqrt((re * re + im * im).sum(axis=0)) - 1.0).max() <= 1e-15
+        # entry 0 carries no phase
+        assert np.all(re[0] >= 0.0) and np.all(im[0] == 0.0)
+        for k in (0, 1, n // 2, _BLOCK // width + 1, n - 1, n):
+            head = rng.haar_rays(k, dim, start=17)
+            tail = rng.haar_rays(n - k, dim, start=17 + width * k)
+            for whole, a, b in zip((re, im), head, tail):
+                assert np.concatenate([a, b], axis=1).tobytes() == whole.tobytes(), (dim, k)
+        # a ray's 2 dim - 1 slots must all lie below 2^64
+        assert rng.haar_rays(1, dim, start=2**64 - width)[0].shape == (dim, 1)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            rng.haar_rays(1, dim, start=2**64 - width + 1)
+
+
+def test_haar_rays_follow_the_haar_law():
+    rng = RngStream(2001)
+    n = 100_000
+    for d in (2, 3, 4):
+        re, im = rng.haar_rays(n, d)
+        psi = (re + 1j * im).T
+        # the 2-design identity E[(psi psi^dag)^(x)2] = (I + SWAP) / (d (d + 1))
+        swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+        expected = (np.eye(d * d) + swap) / (d * (d + 1))
+        total, square = np.zeros((2, d**4)), np.zeros((2, d**4))
+        for lo in range(0, n, 10_000):
+            rows = psi[lo : lo + 10_000]
+            pair = np.einsum("ni,nj->nij", rows, rows).reshape(len(rows), -1)
+            moment = np.einsum("na,nb->nab", pair, pair.conj()).reshape(len(rows), -1)
+            for part, value in enumerate((moment.real, moment.imag)):
+                total[part] += value.sum(axis=0)
+                square[part] += (value * value).sum(axis=0)
+        mean = total / n
+        sigma = np.sqrt(np.maximum(square / n - mean * mean, 0.0) / n)
+        target = np.stack([expected.reshape(-1), np.zeros(d**4)])
+        assert np.all(np.abs(mean - target) <= 5.0 * sigma + 1e-12), d
+        # the weight law P(|psi_0|^2 > t) = (1 - t)^(d - 1)
+        w0 = re[0] * re[0]
+        for t in (0.05, 0.2, 0.5, 0.8):
+            p = (1.0 - t) ** (d - 1)
+            assert abs(np.mean(w0 > t) - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n), (d, t)
 
 
 def test_last_slot_is_drawn():

@@ -989,12 +989,11 @@ def test_probe_coordinates_match_the_expression_form():
     from metriq.tomography import _probe_coords
 
     for d in (1, 2, 3, 4):
-        psi = RngStream(seed=95).haar_states(1001, d, start=7)
+        re, im = RngStream(seed=95).haar_rays(1001, d, start=7)
         j, k = np.triu_indices(d, 1)
-        re, im = psi.real.T, psi.imag.T
         ref = np.concatenate([re * re + im * im, re[j] * re[k] + im[j] * im[k], im[j] * re[k] - re[j] * im[k]])
         probes, scratch = np.full((2, d * d, 1001), np.nan)
-        _probe_coords(psi, probes, scratch)
+        _probe_coords((re, im), probes, scratch)
         assert probes.tobytes() == ref.tobytes()
 
 
@@ -1003,13 +1002,19 @@ def _qudit_map():
     return superoperator(kraus_channel([0.9 * RngStream(seed=93).haar_unitary(4, start=0)])) - np.eye(16)
 
 
-def test_sampled_oracle_beyond_the_closed_forms_matches_direct_evaluation():
-    # d = 4 takes the batched eigvalsh path
+def _oracle_probes(n, d):
+    """The oracle's first n probes as an (n, d) complex array, one state per row."""
     from metriq.tomography import _ORACLE_SEED
 
+    re, im = RngStream(seed=_ORACLE_SEED).haar_rays(n, d)
+    return (re + 1j * im).T
+
+
+def test_sampled_oracle_beyond_the_closed_forms_matches_direct_evaluation():
+    # d = 4 takes the batched eigvalsh path
     phi = _qudit_map()
     n = 500
-    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 4)
+    psi = _oracle_probes(n, 4)
     best = 0.0
     for k in range(n):
         out = (phi @ np.outer(psi[k], psi[k].conj()).reshape(-1)).reshape(4, 4)
@@ -1029,12 +1034,10 @@ def test_sampled_oracle_tracks_estimator_from_below():
 
 def test_sampled_oracle_matches_direct_evaluation():
     """The oracle is a plain max over a deterministic Haar sample."""
-    from metriq.tomography import _ORACLE_SEED
-
     eta = validate_metric(ETA2)
     phi = superoperator(embedded_metric_channel(eta)) - np.eye(9)
     n = 1000
-    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 3)
+    psi = _oracle_probes(n, 3)
     best = 0.0
     for k in range(n):
         rho = np.outer(psi[k], psi[k].conj())
@@ -1046,14 +1049,12 @@ def test_sampled_oracle_matches_direct_evaluation():
 
 
 def test_sampled_oracle_qubit_map_matches_direct_evaluation():
-    from metriq.tomography import _ORACLE_SEED
-
     rng = RngStream(seed=91)
     k1 = 0.9 * rng.haar_unitary(2, start=0)
     k2 = rng.haar_unitary(2, start=50)
     phi = superoperator(kraus_channel([k1])) - superoperator(kraus_channel([k2]))
     n = 1000
-    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 2)
+    psi = _oracle_probes(n, 2)
     best = 0.0
     for k in range(n):
         rho = np.outer(psi[k], psi[k].conj())
@@ -1063,12 +1064,12 @@ def test_sampled_oracle_qubit_map_matches_direct_evaluation():
 
 
 def test_sampled_oracle_across_chunk_boundary():
-    from metriq.tomography import _ORACLE_CHUNK, _ORACLE_SEED
+    from metriq.tomography import _ORACLE_CHUNK
 
     eta = validate_metric(ETA2)
     phi = superoperator(embedded_metric_channel(eta)) - np.eye(9)
     n = _ORACLE_CHUNK + 3
-    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 3)
+    psi = _oracle_probes(n, 3)
     out = (phi @ (psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, 9).T).T.reshape(n, 3, 3)
     best = np.abs(np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2)).sum(axis=1).max()
     assert abs(sampled_one_to_one(phi, samples=n) - best) < 1e-12
@@ -1095,13 +1096,13 @@ def test_sampled_oracle_chunks_hold_about_a_megabyte(monkeypatch):
     from metriq.tomography import _ORACLE_CHUNK
 
     counts = []
-    draw = RngStream.haar_states
+    draw = RngStream.haar_rays
 
     def spy(self, n, *args, **kwargs):
         counts.append(n)
         return draw(self, n, *args, **kwargs)
 
-    monkeypatch.setattr(RngStream, "haar_states", spy)
+    monkeypatch.setattr(RngStream, "haar_rays", spy)
     for d in (2, 3, 4, 9):
         limit = min(_ORACLE_CHUNK, 9 * _ORACLE_CHUNK // d**2)
         counts.clear()
@@ -1115,9 +1116,8 @@ def test_sampled_oracle_max_is_the_kernel_on_every_probe():
     from metriq.tomography import _ORACLE_CHUNK, _ORACLE_SEED, _herm_from_coords
 
     n = 3 * _ORACLE_CHUNK + 7
-    psi = RngStream(seed=_ORACLE_SEED).haar_states(n, 3)
+    re, im = RngStream(seed=_ORACLE_SEED).haar_rays(n, 3)
     j, k = np.triu_indices(3, 1)
-    re, im = psi.real.T, psi.imag.T
     probes = np.concatenate([re * re + im * im, re[j] * re[k] + im[j] * im[k], im[j] * re[k] - re[j] * im[k]])
     basis = _herm_from_coords(np.eye(9), 3)
     # rho -> (tr rho + 1e-6 rho_00) I attains the bound on every probe, and its
@@ -1171,7 +1171,7 @@ def test_sampled_oracle_budget_is_checked_before_any_probe(monkeypatch):
     def no_probes(*args, **kwargs):
         raise AssertionError("a probe was drawn")
 
-    monkeypatch.setattr(RngStream, "haar_states", no_probes)
+    monkeypatch.setattr(RngStream, "haar_rays", no_probes)
     for samples in (_ORACLE_MAX_SAMPLES + 1, 2**70):
         with pytest.raises(MetriqError, match="budget"):
             sampled_one_to_one(np.eye(9), samples=samples)
