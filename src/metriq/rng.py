@@ -64,6 +64,46 @@ def _require_slots(count: int, start: int) -> tuple[int, int]:
     return count, start
 
 
+# i^k for k = rint(4u) in 0..4, so k = 4 is i^0; products with these are exact
+_QUARTER_RE = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+_QUARTER_IM = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
+
+
+def _unit_phases(u: np.ndarray, re: np.ndarray, im: np.ndarray, scratch: np.ndarray) -> None:
+    """cos(2 pi u) and sin(2 pi u) into re and im, for uniforms u in [0, 1).
+
+    Each phase is i^k e^{ir} with v = 4u, k = rint(v) and r = (pi/2)(v - k)
+    in [-pi/4, pi/4], where numpy's cos and sin take about a third of their
+    time on the full turn. 4u, rint and v - k are exact, so r is rounded
+    once, in the product. i^k is applied with products by 0 and +-1 and
+    sums with one zero term, which are exact, and every zero they give is
+    +0. u, re and im are contiguous arrays of one shape; u is clobbered,
+    and so is scratch, a float64 array of at least 2 u.size elements.
+    """
+    n = u.size
+    k = scratch[:n].reshape(u.shape)
+    index = scratch[n : 2 * n].view(np.int64).reshape(u.shape)
+    u *= 4.0
+    np.rint(u, out=k)
+    u -= k
+    u *= 0.5 * np.pi
+    np.copyto(index, k, casting="unsafe")
+    np.cos(u, out=re)
+    np.sin(u, out=im)
+    # (c + i s)(a + i b) = (a c - b s) + i (a s + b c), where one of a, b is 0;
+    # k and r are spent, and index is spent once a and b are taken
+    a, b, bs = k, u, index.view(np.float64)
+    # k is in range, so clip mode only skips the bounds checks
+    _QUARTER_RE.take(index, out=a, mode="clip")
+    _QUARTER_IM.take(index, out=b, mode="clip")
+    np.multiply(b, im, out=bs)
+    b *= re
+    re *= a
+    re -= bs
+    im *= a
+    im += b
+
+
 @dataclass(frozen=True, eq=True)
 class RngStream:
     """Addressable stream of reproducible random words.
@@ -178,7 +218,7 @@ class RngStream:
         E_k = -log1p(-u_k) give such weights (Devroye, Non-Uniform Random
         Variate Generation (1986), ch. V). So the first dim slots give
         w_k = E_k / sum(E), summed in k order, and the next dim - 1 give the
-        phases 2 pi u of entries 1..dim-1.
+        phases 2 pi u of entries 1..dim-1 (see _unit_phases).
         """
         width = 2 * dim - 1
         slots, start = _require_slots(width * operator.index(count), start)
@@ -189,9 +229,12 @@ class RngStream:
             re.fill(1.0)
             im.fill(0.0)
             return re, im
-        # one transposing copy, so every ufunc below runs on contiguous rows
-        u = np.ascontiguousarray(self.uniforms(slots, start).reshape(count, width).T)
-        amp, angle = u[:dim], u[dim:]
+        # one transposing copy, so every ufunc below runs on contiguous rows,
+        # and the uniforms' own buffer is then the phases' scratch. A copy even
+        # at count = 1, where the transpose is contiguous and would be a view
+        flat = self.uniforms(slots, start)
+        u = flat.reshape(count, width).T.copy()
+        amp = u[:dim]
         np.negative(amp, out=amp)
         # log1p(-u) is -E; a ratio of two negated doubles is their ratio, bit for bit
         np.log1p(amp, out=amp)
@@ -200,11 +243,9 @@ class RngStream:
             total += amp[k]
         amp /= total
         np.sqrt(amp, out=amp)
-        angle *= 2.0 * np.pi
         re[0] = amp[0]
         im[0] = 0.0
-        np.cos(angle, out=re[1:])
-        np.sin(angle, out=im[1:])
+        _unit_phases(u[dim:], re[1:], im[1:], flat)
         re[1:] *= amp[1:]
         im[1:] *= amp[1:]
         return re, im

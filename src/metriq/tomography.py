@@ -503,14 +503,14 @@ def _herm3_trace_norm(x: np.ndarray) -> np.ndarray:
 
 _ORACLE_SEED = 0xB07E57A7E5
 _ORACLE_CHUNK = 1 << 14
-# one map: about 7 s at 0.23 us per d = 3 identity probe, with the kernel on
+# one map: about 7 s at 0.22 us per d = 3 identity probe, with the kernel on
 # every probe (2-core x86 VM, numpy 2.4.6, one BLAS thread). The limit was set
 # at 20 s for 0.63 us per probe, and it stays, so no request changes whether
 # it is accepted
 _ORACLE_MAX_SAMPLES = 31 * 10**6
 # a request's cost in evaluations of one d = 3 map on one probe (a matmul
-# column, a bound and a trace norm, about 0.10 us): drawing a probe and
-# forming its coordinates costs about 1.3 (0.13 us) and is still charged 3, so
+# column, a bound and a trace norm, about 0.11 us): drawing a probe and
+# forming its coordinates costs about 0.9 (0.10 us) and is still charged 3, so
 # no request changes whether it is accepted, and setting up a map costs about
 # 1000
 _ORACLE_DRAW_COST = 3
@@ -518,8 +518,8 @@ _ORACLE_MAP_COST = 1000
 
 
 def _oracle_cost(samples: int, maps: int, d: int) -> int:
-    # a padded qubit probe costs less than a qutrit one (0.20 against 0.23 us
-    # per identity probe, draw included). d > 3 has no closed form:
+    # a padded qubit probe costs less than a qutrit one (0.14-0.15 against
+    # 0.22 us per identity probe, draw included). d > 3 has no closed form:
     # the batched eigvalsh took at most 0.2 d^2 us per probe for 4 <= d <= 16
     # (identity maps, so no probe skipped it; one BLAS thread), charged with a
     # 1.5x margin as 2 d^2 evaluations, and d^3 / 4 takes over past d = 8 for

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from metriq.rng import _BLOCK, _GOLDEN, _MASK, RngStream, _mix64_int
+from metriq.rng import _BLOCK, _GOLDEN, _MASK, RngStream, _mix64_int, _unit_phases
 from metriq.tomography import _ORACLE_CHUNK
 
 
@@ -228,6 +228,50 @@ def test_haar_rays_follow_the_haar_law():
         for t in (0.05, 0.2, 0.5, 0.8):
             p = (1.0 - t) ** (d - 1)
             assert abs(np.mean(w0 > t) - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n), (d, t)
+        # the phases' first moments E[e^{ik theta}] = 0: k = 1, 2 see a quarter
+        # turn in the wrong place, k = 4 a reduced angle not uniform in its quarter
+        theta = np.arctan2(im[1:], re[1:])
+        for k in (1, 2, 3, 4):
+            for part in (np.cos(k * theta), np.sin(k * theta)):
+                mean = part.mean(axis=1)
+                sigma = np.sqrt(part.var(axis=1) / n)
+                assert np.all(np.abs(mean) <= 5.0 * sigma), (d, k)
+
+
+def _full_turn_rays(rng, count, dim, start=0):
+    """haar_rays with each phase as cos and sin of 2 pi u taken on the full turn."""
+    width = 2 * dim - 1
+    u = rng.uniforms(width * count, start).reshape(count, width).T
+    e = -np.log1p(-u[:dim])
+    total = e[0].copy()
+    for k in range(1, dim):
+        total += e[k]
+    amp = np.sqrt(e / total)
+    angle = 2.0 * np.pi * u[dim:]
+    re = np.concatenate([amp[:1], amp[1:] * np.cos(angle)])
+    im = np.concatenate([np.zeros((1, count)), amp[1:] * np.sin(angle)])
+    return re, im
+
+
+def test_haar_rays_agree_with_the_full_turn_phases():
+    rng = RngStream(0xB07E57A7E5, 6)
+    for d in (2, 3, 4):
+        got, ref = rng.haar_rays(100_000, d, start=3), _full_turn_rays(rng, 100_000, d, start=3)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-15, d
+    # rint's ties at the odd eighths and their neighbours, the quarter turns and
+    # theirs, and k = rint(4u) = 4 (u = 7/8 and 1 - 2^-53), which is i^0
+    eps = 2.0**-53
+    u = np.array([0.0, 1 / 8 - eps, 1 / 8, 1 / 8 + eps, 1 / 4 - eps, 1 / 4, 1 / 4 + eps])
+    u = np.concatenate([u, [3 / 8, 1 / 2, 5 / 8, 3 / 4, 7 / 8, 1 - eps]])
+    re, im = np.full((2, len(u)), np.nan)
+    _unit_phases(u.copy(), re, im, np.full(2 * len(u), np.nan))
+    assert np.abs(re - np.cos(2.0 * np.pi * u)).max() <= 1e-15
+    assert np.abs(im - np.sin(2.0 * np.pi * u)).max() <= 1e-15
+    quarters = [0, 5, 8, 10]
+    assert re[quarters].tolist() == [1.0, 0.0, -1.0, 0.0] and im[quarters].tolist() == [0.0, 1.0, 0.0, -1.0]
+    # every zero is +0, as sin(0) is on the full turn
+    assert not np.signbit(re[re == 0.0]).any() and not np.signbit(im[im == 0.0]).any()
 
 
 def test_last_slot_is_drawn():

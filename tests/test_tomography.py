@@ -48,6 +48,7 @@ from metriq.tomography import (
     verify,
 )
 from test_acceptance import acceptance_metric, acceptance_prover
+from test_rng import _full_turn_rays
 
 ETA2 = np.array([[0.8, -0.2j], [0.2j, 0.8]])
 
@@ -1089,6 +1090,23 @@ def test_sampled_oracle_maxima_do_not_depend_on_the_chunk(monkeypatch):
     default = [sampled_one_to_one(phi, samples=n) for phi in maps]
     monkeypatch.setattr(tomography, "_ORACLE_CHUNK", 1 << 17)
     assert [sampled_one_to_one(phi, samples=n) for phi in maps] == default
+
+
+def test_sampled_oracle_agrees_with_full_turn_phases(monkeypatch):
+    # the phases' quarter-turn reduction moves each probe entry by about 1e-16
+    from metriq.tomography import _ORACLE_CHUNK
+
+    rng = RngStream(seed=91)
+    qubit = superoperator(kraus_channel([0.9 * rng.haar_unitary(2, start=0)])) - superoperator(
+        kraus_channel([rng.haar_unitary(2, start=50)])
+    )
+    qutrit = superoperator(embedded_metric_channel(validate_metric(ETA2))) - np.eye(9)
+    maps = [qutrit, _dishonest_map(), _qudit_map(), qubit]
+    n = 2 * _ORACLE_CHUNK + 3
+    got = [sampled_one_to_one(phi, samples=n) for phi in maps]
+    monkeypatch.setattr(RngStream, "haar_rays", _full_turn_rays)
+    ref = [sampled_one_to_one(phi, samples=n) for phi in maps]
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-12
 
 
 def test_sampled_oracle_chunks_hold_about_a_megabyte(monkeypatch):
