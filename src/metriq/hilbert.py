@@ -100,7 +100,7 @@ def validate_metric(matrix) -> MetricOperator:
         raise MetriqError(f"metric spectrum {eig.eigenvalues.tolist()} is not finite")
     if eig.eigenvalues[0] <= _PD_CUTOFF:
         raise NotPositiveDefiniteError(
-            f"metric eigenvalue {eig.eigenvalues[0]:.3e} is not positive"
+            f"metric eigenvalue {eig.eigenvalues[0]:.3e} is not above the singularity cutoff {_PD_CUTOFF:g}"
         )
     norm = float(eig.eigenvalues[-1])
     return MetricOperator(

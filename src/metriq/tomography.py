@@ -56,7 +56,7 @@ _NORM_STEPS = np.array([1.0, 2.0, 4.0])
 _NORM_SEED = 0x315A7C0FFEE
 _NORM_TOL = 1e-8
 _NORM_MAX_ITERS = 150
-_NORM_NEWTON_AFTER = 15
+_NORM_NEWTON_AFTER = 3
 _NORM_NEWTON_DAMPING = np.array([1.0, 0.25, 0.0625])
 
 
@@ -319,7 +319,7 @@ def one_to_one_norm(superop) -> float:
     the plain alternating step, so the objective is nondecreasing, and the
     longer steps cut the rounds the plain step needs where it converges
     slowly. The ascent alone still converges sublinearly on some maps, so
-    from round _NORM_NEWTON_AFTER = 15 on each start also takes Riemannian
+    from round _NORM_NEWTON_AFTER = 3 on each start also takes Riemannian
     Newton candidates (Absil, Mahony & Sepulchre, Optimization Algorithms on
     Matrix Manifolds, 2008, ch. 6) from the second-order model of
     _second_order_model. The Hessian's eigenvalues are replaced by their

@@ -65,10 +65,13 @@ def test_validate_metric_rejects_non_hermitian():
 
 
 def test_validate_metric_rejects_indefinite_and_singular():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError, match=r"eigenvalue -5\.000e-01 is not above the singularity cutoff 1e-12"):
         validate_metric(np.diag([1.0, -0.5]))
     with pytest.raises(NotPositiveDefiniteError):
         validate_metric(np.diag([1.0, 0.0]))
+    # positive, but below the cutoff: the message names the cutoff, not the sign
+    with pytest.raises(NotPositiveDefiniteError, match=r"eigenvalue 5\.000e-13 is not above the singularity cutoff 1e-12"):
+        validate_metric(np.diag([1.0, 5e-13]))
     with pytest.raises(NotPositiveDefiniteError, match=r"empty, shape \(0, 0\)"):
         validate_metric(np.zeros((0, 0)))
 

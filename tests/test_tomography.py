@@ -619,12 +619,13 @@ def test_norm_converges_on_the_slow_unitary_difference():
 
 def test_norm_warns_at_its_iteration_cap(monkeypatch):
     phi = _slow_unitary_difference()
-    # below the switch to Newton the estimator is the ascent
-    monkeypatch.setattr(tomography, "_NORM_MAX_ITERS", 10)
-    with pytest.warns(IterationCapWarning, match="10-iteration cap.*residual") as caught:
+    # up to the switch to Newton the estimator is the ascent
+    cap = tomography._NORM_NEWTON_AFTER
+    monkeypatch.setattr(tomography, "_NORM_MAX_ITERS", cap)
+    with pytest.warns(IterationCapWarning, match=f"{cap}-iteration cap.*residual") as caught:
         value = one_to_one_norm(phi)
     assert len(caught) == 1
-    ref, best_resid, _ = _ascent_norm(phi, iters=10)
+    ref, best_resid, _ = _ascent_norm(phi, iters=cap)
     assert f"best start's stationarity residual {best_resid:.3g} >" in str(caught[0].message)
     assert value == ref
 
@@ -637,8 +638,9 @@ def test_norm_warns_at_its_iteration_cap(monkeypatch):
         return second_order_model(lmap, psi, *rest)
 
     monkeypatch.setattr(tomography, "_second_order_model", recording_model)
-    monkeypatch.setattr(tomography, "_NORM_MAX_ITERS", tomography._NORM_NEWTON_AFTER + 2)
-    with pytest.warns(IterationCapWarning, match="17-iteration cap.*residual") as caught:
+    cap = tomography._NORM_NEWTON_AFTER + 2
+    monkeypatch.setattr(tomography, "_NORM_MAX_ITERS", cap)
+    with pytest.warns(IterationCapWarning, match=f"{cap}-iteration cap.*residual") as caught:
         value = one_to_one_norm(phi)
     assert len(caught) == 1 and len(newton_states) == 2
     values, resid = [], []
@@ -798,6 +800,29 @@ def test_estimator_does_not_fall_below_the_64_start_value():
     # 8 extrapolated starts reach at least what 64 plain ones did
     for phi, _ in _stopping_rule_cases():
         assert one_to_one_norm(phi) >= _plain_64_start_norm(phi) - 1e-12
+
+
+def test_dishonest_maps_take_few_rounds(monkeypatch):
+    # one_to_one_norm builds one eigensystem per round, and one more in the
+    # round that stops. On criterion 8's exact dishonest maps the ascent alone
+    # crawls: with Newton from round 15 they took 14.28 rounds on average,
+    # from round 3 5.28
+    cases = [phi for phi, _ in _stopping_rule_cases()[:25]]
+    built = []
+
+    class CountingEigensystem(tomography.HermitianEigensystem):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tomography, "HermitianEigensystem", CountingEigensystem)
+    rounds = []
+    for phi in cases:
+        before = len(built)
+        one_to_one_norm(phi)
+        rounds.append(len(built) - before - 1)
+    assert min(rounds) >= 0  # the counting class was used
+    assert np.mean(rounds) <= 8
 
 
 def random_kraus_map(seed, count, d=3):
