@@ -158,18 +158,12 @@ class RngStream:
         count, start = _require_slots(count, start)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs, start)
-        # in place on the uniforms; 1 - u keeps the log argument in (0, 1]
-        radius, angle = u[0::2], u[1::2]
-        np.negative(radius, out=radius)
-        np.log1p(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle *= 2.0 * np.pi
+        # 1 - u keeps the log argument in (0, 1]
+        radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
         z = np.empty(2 * pairs, dtype=np.float64)
-        np.cos(angle, out=z[0::2])
-        np.sin(angle, out=z[1::2])
-        z[0::2] *= radius
-        z[1::2] *= radius
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
         return z[:count]
 
     def haar_states(self, count: int, dim: int, start: int = 0) -> np.ndarray:
@@ -177,24 +171,14 @@ class RngStream:
 
         Consumes 2*dim*count slots beginning at `start`. Each state is a
         complex Gaussian vector divided by its norm (Mezzadri, Notices AMS
-        54, 592 (2007)), in place. The squared norms come from the complex
-        product conj(x) x, as in np.linalg.norm: numpy's SIMD loops may
-        round its real part differently from re*re + im*im.
+        54, 592 (2007)). The squared norms come from the complex product
+        conj(x) x: numpy's SIMD loops may round its real part differently
+        from re*re + im*im.
         """
         psi = self.normals(2 * dim * count, start).view(complex).reshape(count, dim)
         sq = psi.conj()
         sq *= psi
-        sq = sq.real
-        if dim < 8:
-            # numpy's pairwise sum adds fewer than 8 terms in order; column by
-            # column gives the same sums without a call per row, about 10x
-            # faster at dim = 3. From 8 terms on only the reduce has its bytes
-            norms = sq[:, 0].copy()
-            for j in range(1, dim):
-                norms += sq[:, j]
-        else:
-            norms = np.add.reduce(sq, axis=1)
-        np.sqrt(norms, out=norms)
+        norms = np.sqrt(np.add.reduce(sq.real, axis=1))
         if dim == 1:
             # the stream's one zero word, as a radius slot, gives a zero
             # vector, and only a one-entry state has no other pair to save it

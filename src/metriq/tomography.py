@@ -31,7 +31,7 @@ import warnings
 # Nothing here calls it: perfbench/tracer.py rebinds this name to a traced pool,
 # and the import goes when ROADMAP item 1 removes that TracedPool swap.
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,19 +66,30 @@ _NORM_NEWTON_DAMPING = np.array([1.0, 0.25, 0.0625])
 
 @dataclass(frozen=True, eq=False)
 class TomographyDesign:
-    """Qutrit input states, kept as one read-only (k, 3, 3) stack.
+    """Qutrit input states, kept as one read-only (k, 3, 3) stack, and their dual frame.
 
-    Each state is checked once, here: one that is not a 3x3 density operator
-    raises InvalidDensityOperatorError when the design is built.
+    Both are made once, when the design is built. A state that is not a 3x3
+    density operator raises InvalidDensityOperatorError, and states that do
+    not span the 9-dimensional operator space raise SingularDesignError.
+    dual_frame is the read-only (k, 9) transpose of the pseudo-inverse of the
+    states' (k, 9) matrix, so reconstructing a game is one product with it.
     """
 
     input_states: np.ndarray
     description: str
+    dual_frame: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = np.stack([validate_density(s, dim=3) for s in self.input_states])
         stack.flags.writeable = False
         object.__setattr__(self, "input_states", stack)
+        a = stack.reshape(len(stack), 9)
+        rank = np.linalg.matrix_rank(a)
+        if rank < 9:
+            raise SingularDesignError(f"design spans rank {rank} < 9; cannot invert")
+        dual = np.linalg.pinv(a).T
+        dual.flags.writeable = False
+        object.__setattr__(self, "dual_frame", dual)
 
 
 @functools.cache
@@ -221,25 +232,20 @@ class ReconstructedChannel:
 def reconstruct(responses, design: TomographyDesign, shots_per_input: int = 0) -> ReconstructedChannel:
     """Linear inversion of the prover's responses.
 
-    The unnormalized outputs ratio_i * state_i are fitted by least squares
-    to a single linear map on vectorized operators. The raw linear map is
-    what the distance uses, where clipping would bias the verdict; the
-    eigenvalue-clipped PSD Choi matrix, for consumers that need complete
-    positivity, is built only when first read.
+    The linear map on vectorized operators is sum_i ratio_i vec(state_i)
+    D_i^T, with D_i row i of the design's dual frame: the least-squares fit
+    to the unnormalized outputs ratio_i * state_i, as one product. The raw
+    linear map is what the distance uses, where clipping would bias the
+    verdict; the eigenvalue-clipped PSD Choi matrix, for consumers that need
+    complete positivity, is built only when first read.
     """
     inputs = design.input_states
     if len(responses) != len(inputs):
         raise MetriqError(f"got {len(responses)} responses for {len(inputs)} inputs")
-    a = inputs.reshape(len(inputs), -1)
     b = np.stack(
         [float(r) * np.asarray(s, dtype=complex).reshape(-1) for r, s in responses]
     )
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < a.shape[1]:
-        raise SingularDesignError(
-            f"design spans rank {rank} < {a.shape[1]}; cannot invert"
-        )
-    return ReconstructedChannel(linear_map=solution.T, shots_per_input=int(shots_per_input))
+    return ReconstructedChannel(linear_map=b.T @ design.dual_frame, shots_per_input=int(shots_per_input))
 
 
 # ---------------------------------------------------------------------------

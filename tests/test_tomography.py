@@ -114,6 +114,8 @@ def test_default_design_is_built_once_and_read_only():
         design.input_states[0][0, 0] = 0.5
     with pytest.raises(ValueError, match="read-only"):
         design.input_states[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        design.dual_frame[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +489,50 @@ def test_reconstruct_response_count_mismatch():
 
 def test_reconstruct_singular_design():
     state = default_design().input_states[0]
-    bad = TomographyDesign(input_states=(state,) * 9, description="degenerate")
-    with pytest.raises(SingularDesignError):
-        reconstruct([(1.0, state)] * 9, bad)
+    with pytest.raises(SingularDesignError, match="rank 1 < 9"):
+        TomographyDesign(input_states=(state,) * 9, description="degenerate")
+
+
+def _twelve_state_design(full_rank):
+    """The default design's first 8 states and 4 more pure ones.
+
+    Those 8 span the Hermitian operators with Im rho_12 = 0. The 4 more are
+    Haar states if full_rank, and otherwise (e^{i theta} a, b, c) with a, b,
+    c real, which keep Im rho_12 = 0, so the 12 span rank 8.
+    """
+    kets = RngStream(seed=91).haar_states(4, 3)
+    if not full_rank:
+        kets = np.abs(kets).astype(complex)
+        kets[:, 0] *= np.exp(1j * np.array([0.7, 1.9, 3.1, 4.3]))
+    states = (*default_design().input_states[:8], *(np.outer(v, v.conj()) for v in kets))
+    return TomographyDesign(input_states=states, description="twelve states")
+
+
+def test_overcomplete_design_is_judged_by_its_rank_when_built():
+    with pytest.raises(SingularDesignError, match="rank 8 < 9"):
+        _twelve_state_design(full_rank=False)
+    design = _twelve_state_design(full_rank=True)
+    assert design.dual_frame.shape == (12, 9)
+
+
+def test_dual_frame_inverts_the_default_design():
+    design = default_design()
+    a = design.input_states.reshape(9, 9)
+    assert np.max(np.abs(design.dual_frame.T @ a - np.eye(9))) < 1e-14
+
+
+@pytest.mark.parametrize("twelve", [False, True], ids=["default", "twelve"])
+def test_reconstruct_matches_least_squares(twelve):
+    design = _twelve_state_design(full_rank=True) if twelve else default_design()
+    k = len(design.input_states)
+    a = design.input_states.reshape(k, 9)
+    x = RngStream(seed=92).normals(2 * 9 * k * 5).view(complex).reshape(5, k, 3, 3) / 3
+    for trial in range(5):
+        responses = list(zip(RngStream(seed=93).uniforms(k, start=k * trial), x[trial]))
+        b = np.stack([r * s.reshape(-1) for r, s in responses])
+        solution, *_ = np.linalg.lstsq(a, b, rcond=None)
+        recon = reconstruct(responses, design)
+        assert np.max(np.abs(recon.linear_map - solution.T)) < 1e-14
 
 
 def test_reconstruct_clips_choi_but_keeps_raw_map():
